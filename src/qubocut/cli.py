@@ -30,10 +30,8 @@ from .graphs import (
 from .polynomial import PuboPolynomial
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
-    ReducedInstance,
-    lift_solution,
-    reduce_core_fixed,
-    reduce_exact,
+    assemble_reduced,
+    quench_communities,
 )
 from .solvers import (
     CSV_HEADER,
@@ -208,20 +206,17 @@ def cmd_reduce(args) -> int:
         assignment = detect_multilevel(g, seed=args.seed)
         if not args.no_refine:
             assignment = refine_boundary(g, assignment, seed=args.seed)
-    reducers = {"exact": reduce_exact, "core-fixed": reduce_core_fixed}
-    instance = reducers[args.mode](poly, assignment, boundary_cap=args.boundary_cap)
+    stage2 = quench_communities(poly, assignment, args.mode, args.boundary_cap)
+    instance = assemble_reduced(assignment, args.mode, *stage2)
     if args.out:
         instance.save(args.out)
-    degree_hist: dict[int, int] = {}
-    for term in instance.poly.terms:
-        degree_hist[len(term)] = degree_hist.get(len(term), 0) + 1
     payload = {
         "n_original": poly.num_vars,
         "n_reduced": len(instance.var_map),
         "mode": instance.mode,
         "num_communities": assignment.num_communities,
         "score_g": score_g(assignment),
-        "degree_histogram": {str(k): v for k, v in sorted(degree_hist.items())},
+        "degree_histogram": instance.degree_histogram(),
         "var_map": list(instance.var_map),
         "out": args.out,
     }

@@ -56,6 +56,8 @@ class Graph:
                 )
             order = sorted(range(len(canon)), key=lambda i: canon[i])
             weights = tuple(float(self.weights[i]) for i in order)
+            if not np.all(np.isfinite(weights)):
+                raise ParameterError("edge weights must be finite")
         edges = tuple(canon[i] for i in order)
         if len(set(edges)) != len(edges):
             raise ParameterError("duplicate edges")

@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial, energy_table
+from .wht import fwht
 
 __all__ = [
     "QaoaParams",
@@ -69,45 +70,31 @@ def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.n
     return energy_table(poly)
 
 
-def _fwht_complex(values: np.ndarray) -> np.ndarray:
-    a = np.array(values, dtype=np.complex128)
-    d = a.size
-    h = 1
-    while h < d:
-        a = a.reshape(d // (2 * h), 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bottom = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bottom
-        a = a.reshape(d)
-        h *= 2
-    return a
+_MIXER_PHASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-_POPCOUNTS: dict[int, np.ndarray] = {}
-
-
-def _popcounts(d: int) -> np.ndarray:
-    if d not in _POPCOUNTS:
-        _POPCOUNTS[d] = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(
-            np.float64
-        )
-    return _POPCOUNTS[d]
+def _mixer_phases(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n + 1`` values ``n - 2k`` and the bitcount ``k`` of each index."""
+    if d not in _MIXER_PHASES:
+        n = d.bit_length() - 1
+        bitcounts = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(np.int64)
+        _MIXER_PHASES[d] = (n - 2.0 * np.arange(n + 1), bitcounts)
+    return _MIXER_PHASES[d]
 
 
 def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     """Apply ``exp(-i beta X)`` on every qubit of a statevector.
 
     Uses X = H Z H per qubit: a Hadamard sandwich around a diagonal phase
-    that depends only on the bitcount of the basis index.
+    that depends only on the bitcount of the basis index, so only its
+    ``n + 1`` distinct values are exponentiated.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    d = state.size
-    if d == 0 or d & (d - 1):
-        raise DimensionError(f"state length must be a power of two, got {d}")
-    n = d.bit_length() - 1
-    phases = np.exp(-1j * beta * (n - 2.0 * _popcounts(d)))
-    return _fwht_complex(phases * _fwht_complex(state)) / d
+    state = fwht(np.asarray(state, dtype=np.complex128))
+    values, bitcounts = _mixer_phases(state.size)
+    state *= np.exp(-1j * beta * values)[bitcounts]
+    state = fwht(state)
+    state /= state.size
+    return state
 
 
 class _Simulator:
@@ -127,19 +114,13 @@ class _Simulator:
             )
         self.energies = energies
         self.d = d
-        self.n = d.bit_length() - 1
         self.unique_e, self.e_index = np.unique(energies, return_inverse=True)
-        self.pop_index = _popcounts(d).astype(np.int64)
-        self.pop_values = self.n - 2.0 * np.arange(self.n + 1, dtype=np.float64)
 
     def run(self, params: QaoaParams) -> np.ndarray:
         state = np.full(self.d, 1.0 / np.sqrt(self.d), dtype=np.complex128)
         for gamma, beta in zip(params.gammas, params.betas):
             state *= np.exp(-1j * gamma * self.unique_e)[self.e_index]
-            state = _fwht_complex(state)
-            state *= np.exp(-1j * beta * self.pop_values)[self.pop_index]
-            state = _fwht_complex(state)
-            state /= self.d
+            state = mixer_layer(state, beta)
         return state
 
     def expectation(self, params: QaoaParams) -> float:

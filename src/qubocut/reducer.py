@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "split_energy",
     "quench",
     "table_to_polynomial",
+    "quench_communities",
+    "assemble_reduced",
     "reduce_exact",
     "reduce_core_fixed",
     "lift_solution",
@@ -108,6 +110,13 @@ class ReducedInstance:
         data["num_original_vars"] = self.num_original_vars
         data["mode"] = self.mode
         return data
+
+    def degree_histogram(self) -> dict[str, int]:
+        """Number of reduced terms per degree, keyed by the degree as a string."""
+        counts: dict[int, int] = {}
+        for term in self.poly.terms:
+            counts[len(term)] = counts.get(len(term), 0) + 1
+        return {str(k): v for k, v in sorted(counts.items())}
 
     @classmethod
     def from_json_dict(cls, data) -> "ReducedInstance":
@@ -208,35 +217,26 @@ def _core_polynomial(sub: CommunitySubinstance, boundary_mask: int) -> PuboPolyn
     return PuboPolynomial(nc, terms)
 
 
-def _default_core_solver():
-    from .solvers import brute_force_min
-
-    return brute_force_min
-
-
 def quench(
-    sub: CommunitySubinstance,
-    core_solver: Callable | None = None,
-    boundary_cap: int = DEFAULT_BOUNDARY_CAP,
+    sub: CommunitySubinstance, boundary_cap: int = DEFAULT_BOUNDARY_CAP
 ) -> QuenchTable:
     """Minimize the community energy over its core for every boundary mask.
 
-    ``core_solver`` takes a polynomial over the core variables alone and
-    returns ``(min energy, argmin spins)``; it is invoked once per boundary
-    mask.  The default is the exact brute-force solver.
+    Each boundary mask pins the boundary spins, and the remaining core
+    polynomial is solved exactly by :func:`brute_force_min` under that
+    solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
     """
     if sub.num_boundary > boundary_cap:
         raise ResourceLimitError(
             f"community {sub.community}: |B_c|={sub.num_boundary} exceeds cap {boundary_cap}"
         )
-    if core_solver is None:
-        core_solver = _default_core_solver()
+    from .solvers import brute_force_min
+
     size = 1 << sub.num_boundary
     energies = np.empty(size, dtype=np.float64)
     argmins = np.empty(size, dtype=np.int64)
     for mask in range(size):
-        restricted = _core_polynomial(sub, mask)
-        energy, core_spins = core_solver(restricted)
+        energy, core_spins = brute_force_min(_core_polynomial(sub, mask))
         energies[mask] = energy
         argmins[mask] = spins_to_index(core_spins)
     return QuenchTable(sub.community, energies, argmins)
@@ -248,61 +248,22 @@ def table_to_polynomial(table) -> PuboPolynomial:
     Accepts a :class:`QuenchTable` or a raw array of ``2**M`` energies indexed
     by bitmask; returns the unique multilinear polynomial over ``M`` spins
     whose energies reproduce the table.  Coefficients are ``fwht(energies) /
-    2**M``, with entries below ``WHT_PRUNE_EPS`` in magnitude dropped.
+    2**M``, with entries below ``WHT_PRUNE_EPS * max|energies|`` in magnitude
+    dropped, so pruning removes rounding noise at any weight scale.
     """
     energies = np.asarray(getattr(table, "energies", table), dtype=np.float64)
     transformed = fwht(energies)
     m = energies.size.bit_length() - 1
     coeffs = transformed / energies.size
+    threshold = WHT_PRUNE_EPS * np.abs(energies).max()
     terms = []
     for t in range(energies.size):
         c = coeffs[t]
-        if abs(c) < WHT_PRUNE_EPS:
+        if abs(c) < threshold:
             continue
         term = tuple(i for i in range(m) if (t >> (m - 1 - i)) & 1)
         terms.append((term, float(c)))
     return PuboPolynomial(m, terms)
-
-
-def _reduced_index_map(assignment: CommunityAssignment) -> tuple[tuple[int, ...], dict]:
-    var_map = tuple(int(v) for v in assignment.global_boundary())
-    return var_map, {v: j for j, v in enumerate(var_map)}
-
-
-def _assemble(
-    subs: Sequence[CommunitySubinstance],
-    boundary_polys: Sequence[PuboPolynomial],
-    across: PuboPolynomial,
-    to_reduced: dict,
-    num_reduced: int,
-) -> PuboPolynomial:
-    total = across.reindex(to_reduced, num_reduced)
-    for sub, bp in zip(subs, boundary_polys):
-        mapping = {j: to_reduced[v] for j, v in enumerate(sub.boundary_vars)}
-        total = total + bp.reindex(mapping, num_reduced)
-    return total
-
-
-def reduce_exact(
-    poly: PuboPolynomial,
-    assignment: CommunityAssignment,
-    core_solver: Callable | None = None,
-    boundary_cap: int = DEFAULT_BOUNDARY_CAP,
-) -> ReducedInstance:
-    """Quench every community exactly; the reduced minimum equals the original."""
-    subs, across = split_energy(poly, assignment)
-    var_map, to_reduced = _reduced_index_map(assignment)
-    tables = [quench(sub, core_solver, boundary_cap) for sub in subs]
-    boundary_polys = [table_to_polynomial(t) for t in tables]
-    reduced = _assemble(subs, boundary_polys, across, to_reduced, len(var_map))
-    return ReducedInstance(
-        poly=reduced,
-        var_map=var_map,
-        num_original_vars=poly.num_vars,
-        mode="exact",
-        subinstances=tuple(subs),
-        tables=tuple(tables),
-    )
 
 
 def _boundary_polynomial(
@@ -323,11 +284,73 @@ def _boundary_polynomial(
     return PuboPolynomial(nb, terms)
 
 
-def reduce_core_fixed(
+def quench_communities(
     poly: PuboPolynomial,
     assignment: CommunityAssignment,
-    core_solver: Callable | None = None,
+    mode: str,
     boundary_cap: int = DEFAULT_BOUNDARY_CAP,
+) -> tuple[list[CommunitySubinstance], PuboPolynomial, list]:
+    """Stage 2: split the energy, then solve each community in ``mode``.
+
+    Returns the subinstances, the across polynomial and per community either
+    its :class:`QuenchTable` (exact) or the core spins of the lowest-bitmask
+    optimum of its whole subinstance (core-fixed).
+    """
+    if mode not in ("exact", "core-fixed"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    subs, across = split_energy(poly, assignment)
+    if mode == "exact":
+        return subs, across, [quench(sub, boundary_cap) for sub in subs]
+    from .solvers import brute_force_min
+
+    cores = [brute_force_min(sub.intra)[1][sub.num_boundary:] for sub in subs]
+    return subs, across, cores
+
+
+def assemble_reduced(
+    assignment: CommunityAssignment,
+    mode: str,
+    subs: Sequence[CommunitySubinstance],
+    across: PuboPolynomial,
+    solved: Sequence,
+) -> ReducedInstance:
+    """Stage 3: turn :func:`quench_communities` output into the reduced PUBO.
+
+    Each community's table or frozen core becomes a polynomial over its
+    boundary spins, summed with the across part over the global boundary.
+    """
+    var_map = tuple(int(v) for v in assignment.global_boundary())
+    to_reduced = {v: j for j, v in enumerate(var_map)}
+    if mode == "exact":
+        boundary_polys = [table_to_polynomial(t) for t in solved]
+    else:
+        boundary_polys = [_boundary_polynomial(s, c) for s, c in zip(subs, solved)]
+    total = across.reindex(to_reduced, len(var_map))
+    for sub, bp in zip(subs, boundary_polys):
+        mapping = {j: to_reduced[v] for j, v in enumerate(sub.boundary_vars)}
+        total = total + bp.reindex(mapping, len(var_map))
+    return ReducedInstance(
+        poly=total,
+        var_map=var_map,
+        num_original_vars=across.num_vars,
+        mode=mode,
+        subinstances=tuple(subs),
+        tables=tuple(solved) if mode == "exact" else (),
+    )
+
+
+def reduce_exact(
+    poly: PuboPolynomial,
+    assignment: CommunityAssignment,
+    boundary_cap: int = DEFAULT_BOUNDARY_CAP,
+) -> ReducedInstance:
+    """Quench every community exactly; the reduced minimum equals the original."""
+    stage2 = quench_communities(poly, assignment, "exact", boundary_cap)
+    return assemble_reduced(assignment, "exact", *stage2)
+
+
+def reduce_core_fixed(
+    poly: PuboPolynomial, assignment: CommunityAssignment
 ) -> ReducedInstance:
     """Freeze each core at one unconstrained community optimum.
 
@@ -336,29 +359,8 @@ def reduce_core_fixed(
     The reduced polynomial keeps degree <= 2 and its minimum upper-bounds the
     original one.
     """
-    subs, across = split_energy(poly, assignment)
-    var_map, to_reduced = _reduced_index_map(assignment)
-    if core_solver is None:
-        core_solver = _default_core_solver()
-    for sub in subs:
-        if sub.num_boundary + sub.num_core > max(boundary_cap, DEFAULT_BOUNDARY_CAP):
-            raise ResourceLimitError(
-                f"community {sub.community}: {sub.num_boundary + sub.num_core} "
-                f"local variables exceed the solve cap"
-            )
-    boundary_polys = []
-    for sub in subs:
-        _, local_spins = core_solver(sub.intra)
-        boundary_polys.append(_boundary_polynomial(sub, local_spins[sub.num_boundary:]))
-    reduced = _assemble(subs, boundary_polys, across, to_reduced, len(var_map))
-    return ReducedInstance(
-        poly=reduced,
-        var_map=var_map,
-        num_original_vars=poly.num_vars,
-        mode="core-fixed",
-        subinstances=tuple(subs),
-        tables=(),
-    )
+    stage2 = quench_communities(poly, assignment, "core-fixed")
+    return assemble_reduced(assignment, "core-fixed", *stage2)
 
 
 def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
@@ -381,7 +383,8 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
     to_reduced = {v: j for j, v in enumerate(instance.var_map)}
     full = np.zeros(instance.num_original_vars, dtype=np.int8)
     full[list(instance.var_map)] = b
-    core_solver = _default_core_solver()
+    from .solvers import brute_force_min
+
     for idx, sub in enumerate(instance.subinstances):
         local_boundary = [int(b[to_reduced[v]]) for v in sub.boundary_vars]
         mask = spins_to_index(local_boundary)
@@ -389,6 +392,6 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
             core_mask = int(instance.tables[idx].argmin_cores[mask])
             core_spins = index_to_spins(core_mask, sub.num_core)
         else:
-            _, core_spins = core_solver(_core_polynomial(sub, mask))
+            _, core_spins = brute_force_min(_core_polynomial(sub, mask))
         full[list(sub.core_vars)] = core_spins
     return full

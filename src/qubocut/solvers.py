@@ -12,16 +12,14 @@ from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ParameterError, PipelineStepError, ResourceLimitError
 from .graphs import Graph, maxcut_to_qubo
 from .polynomial import PuboPolynomial, energy_table
-from .reducer import (
+# ``quench`` stays importable as ``solvers.quench`` for the benchmark's tracer
+from .reducer import (  # noqa: F401
     DEFAULT_BOUNDARY_CAP,
     ReducedInstance,
-    _assemble,
-    _boundary_polynomial,
-    _reduced_index_map,
+    assemble_reduced,
     lift_solution,
     quench,
-    split_energy,
-    table_to_polynomial,
+    quench_communities,
 )
 
 __all__ = [
@@ -83,9 +81,10 @@ class PipelineConfig:
 
     ``mode`` selects exact or core-fixed quenching; ``backend`` solves the
     reduced instance with the in-package brute-force oracle, an external
-    weighted-MaxSAT solver, or the QAOA simulator.  ``compute_original_min``
-    defaults to solving the original instance exactly whenever it fits under
-    ``brute_cap`` (needed for approximation ratios and equality checks).
+    weighted-MaxSAT solver, or the QAOA simulator.  ``boundary_cap`` bounds
+    each community's boundary in exact mode; ``brute_cap`` bounds the exact
+    solves of the reduced and (when it fits) the original instance, while
+    every per-community solve runs under :func:`brute_force_min`'s own cap.
     """
 
     mode: str = "exact"
@@ -94,7 +93,6 @@ class PipelineConfig:
     refine: bool = True
     boundary_cap: int = DEFAULT_BOUNDARY_CAP
     brute_cap: int = DEFAULT_BRUTE_CAP
-    compute_original_min: bool | None = None
     solver_cmd: str | None = None
     solver_timeout: float | None = None
     fallback_to_oracle: bool = True
@@ -180,7 +178,7 @@ def _qaoa_comparison(poly, instance, assignment, cfg: PipelineConfig) -> dict:
 
     if instance.mode == "exact":
         exact_poly = instance.poly
-        cf_poly = reduce_core_fixed(poly, assignment, boundary_cap=cfg.boundary_cap).poly
+        cf_poly = reduce_core_fixed(poly, assignment).poly
     else:
         cf_poly = instance.poly
         exact_poly = reduce_exact(poly, assignment, boundary_cap=cfg.boundary_cap).poly
@@ -267,44 +265,18 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     # stage 2 runs split + quench; stage 3 converts tables and assembles
     t0 = time.perf_counter()
     try:
-        subs, across = split_energy(poly, assignment)
-        if cfg.mode == "exact":
-            tables = [quench(sub, boundary_cap=cfg.boundary_cap) for sub in subs]
-        else:
-            frozen_cores = []
-            for sub in subs:
-                _, local_spins = brute_force_min(sub.intra, cfg.brute_cap)
-                frozen_cores.append(local_spins[sub.num_boundary:])
+        stage2 = quench_communities(poly, assignment, cfg.mode, cfg.boundary_cap)
     except Exception as exc:
         raise PipelineStepError("quench", exc) from exc
     report.t_quench = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        var_map, to_reduced = _reduced_index_map(assignment)
-        if cfg.mode == "exact":
-            boundary_polys = [table_to_polynomial(t) for t in tables]
-        else:
-            boundary_polys = [
-                _boundary_polynomial(sub, core)
-                for sub, core in zip(subs, frozen_cores)
-            ]
-        reduced_poly = _assemble(subs, boundary_polys, across, to_reduced, len(var_map))
-        instance = ReducedInstance(
-            poly=reduced_poly,
-            var_map=var_map,
-            num_original_vars=poly.num_vars,
-            mode=cfg.mode,
-            subinstances=tuple(subs),
-            tables=tuple(tables) if cfg.mode == "exact" else (),
-        )
+        instance = assemble_reduced(assignment, cfg.mode, *stage2)
     except Exception as exc:
         raise PipelineStepError("assemble", exc) from exc
     report.t_assemble = time.perf_counter() - t0
-    hist: dict[str, int] = {}
-    for term in instance.poly.terms:
-        hist[str(len(term))] = hist.get(str(len(term)), 0) + 1
-    report.degree_histogram = hist
+    report.degree_histogram = instance.degree_histogram()
 
     t0 = time.perf_counter()
     try:
@@ -320,10 +292,7 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
         raise PipelineStepError("solve", exc) from exc
     report.t_solve = time.perf_counter() - t0
 
-    compute_original = cfg.compute_original_min
-    if compute_original is None:
-        compute_original = g.num_vertices <= cfg.brute_cap
-    if compute_original:
+    if g.num_vertices <= cfg.brute_cap:
         e_orig, _ = brute_force_min(poly, cfg.brute_cap)
         report.e_min_original = float(e_orig)
     return report

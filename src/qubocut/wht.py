@@ -19,8 +19,11 @@ __all__ = ["fwht"]
 
 
 def fwht(values) -> np.ndarray:
-    """In O(d log d), transform a length-``d`` vector, ``d`` a power of two."""
-    a = np.array(values, dtype=np.float64)
+    """In O(d log d), transform a length-``d`` vector, ``d`` a power of two.
+
+    Complex input stays complex; anything else is transformed as float64.
+    """
+    a = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if a.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {a.shape}")
     d = a.size

@@ -59,6 +59,24 @@ def enumerate_min(poly):
     return best_e, best_s
 
 
+def quench_naive(sub):
+    """Per-mask quench of one community, enumerating every core assignment.
+
+    For each boundary mask, in mask order: the least intra-community energy
+    over all core masks, and the first (lowest) core mask that attains it.
+    """
+    energies, argmins = [], []
+    for b in all_spin_vectors(len(sub.boundary_vars)):
+        best_e, best_c = np.inf, None
+        for cmask, c in enumerate(all_spin_vectors(len(sub.core_vars))):
+            e = eval_terms_naive(sub.intra.terms, np.concatenate([b, c]))
+            if e < best_e:
+                best_e, best_c = e, cmask
+        energies.append(best_e)
+        argmins.append(best_c)
+    return np.array(energies), np.array(argmins, dtype=np.int64)
+
+
 def cut_weight(g, spins):
     """Total weight of edges crossing the partition encoded by spins."""
     total = 0.0

@@ -43,6 +43,16 @@ def test_graph_validation():
         Graph(3, ((0, 1),), weights=(1.0, 2.0))
 
 
+def test_graph_rejects_non_finite_weights(tmp_path):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="finite"):
+            Graph(3, ((0, 1), (1, 2)), weights=(1.0, bad))
+    path = tmp_path / "nan.txt"
+    path.write_text("2 1\n0 1 nan\n", encoding="utf-8")
+    with pytest.raises(ParameterError, match="finite"):
+        read_graph(path)
+
+
 def test_degrees_and_adjacency():
     g = Graph(4, ((0, 1), (1, 2), (1, 3)), weights=(1.0, 2.0, 3.0))
     np.testing.assert_array_equal(g.degrees(), [1, 3, 1, 1])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubocut import (
     CommunityAssignment,
@@ -9,11 +11,13 @@ from qubocut import (
     Graph,
     PuboPolynomial,
     ReducedInstance,
+    brute_force_min,
     detect_multilevel,
     index_to_spins,
     lift_solution,
     maxcut_to_qubo,
     quench,
+    random_erdos_renyi,
     random_regular,
     reduce_core_fixed,
     reduce_exact,
@@ -33,6 +37,7 @@ from oracles import (
     enumerate_min,
     eval_terms_naive,
     naive_wht,
+    quench_naive,
 )
 
 
@@ -140,21 +145,23 @@ def test_quench_matches_exhaustive_minimum():
             assert table.energies[bmask] <= values[0] + 1e-12
 
 
-def test_quench_uses_core_solver_once_per_mask():
-    intra = PuboPolynomial(3, [((), -1.0), ((0, 2), 0.5), ((1, 2), 0.5)])
-    sub = CommunitySubinstance(0, (0, 2), (1,), intra)
-    calls = []
-
-    def solver(poly):
-        calls.append(poly.num_vars)
-        table = [poly.evaluate(index_to_spins(m, poly.num_vars))
-                 for m in range(1 << poly.num_vars)]
-        best = int(np.argmin(table))
-        return table[best], index_to_spins(best, poly.num_vars)
-
-    table = quench(sub, core_solver=solver)
-    assert len(calls) == 4
-    np.testing.assert_array_equal(table.energies, [-2.0, -1.0, -1.0, -2.0])
+def test_quench_matches_naive_per_mask_quench():
+    # dyadic weights keep every energy exact, so ties are real ties and the
+    # lowest-mask tie-break is compared bit for bit
+    rng = np.random.default_rng(48)
+    for trial in range(12):
+        n = int(rng.integers(4, 11))
+        g = random_erdos_renyi(n, 0.5, seed=trial)
+        terms = [((u, v), float(rng.integers(-4, 5)) / 4) for u, v in g.edges]
+        terms += [((v,), float(rng.integers(-2, 3)) / 2) for v in range(n)]
+        poly = PuboPolynomial(n, terms)
+        ca = CommunityAssignment.from_membership(g, rng.integers(0, 3, size=n))
+        subs, _ = split_energy(poly, ca)
+        for sub in subs:
+            table = quench(sub)
+            energies, argmins = quench_naive(sub)
+            np.testing.assert_array_equal(table.energies, energies)
+            np.testing.assert_array_equal(table.argmin_cores, argmins)
 
 
 def test_quench_boundary_cap():
@@ -348,3 +355,41 @@ def test_membership_must_cover_polynomial():
     ca = CommunityAssignment.from_membership(Graph(2, ((0, 1),)), [0, 0])
     with pytest.raises(ParameterError):
         split_energy(poly, ca)
+
+
+@st.composite
+def _weighted_partitioned_graphs(draw, scale):
+    """A graph of n <= 12 vertices, weights times ``scale``, and a partition."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.sampled_from((0.3, 0.5, 0.8)))
+    edges = random_erdos_renyi(n, p, seed=draw(st.integers(0, 2**16))).edges
+    if draw(st.booleans()):
+        base = st.integers(1, 9).map(float)
+    else:
+        base = st.floats(0.1, 10.0)
+    weights = draw(st.lists(base, min_size=len(edges), max_size=len(edges)))
+    g = Graph(n, edges, tuple(scale * w for w in weights))
+    if draw(st.booleans()):
+        ca = refine_boundary(g, detect_multilevel(g, seed=0), seed=0)
+    else:
+        membership = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        ca = CommunityAssignment.from_membership(g, membership)
+    return g, ca
+
+
+@pytest.mark.parametrize("exponent", [-12, -9, -4, 0, 4, 9, 12])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_reduction_exact_at_every_weight_scale(exponent, data):
+    g, ca = data.draw(_weighted_partitioned_graphs(10.0**exponent))
+    poly = maxcut_to_qubo(g)
+    tol = 1e-9 * g.total_weight()
+    e_orig, _ = enumerate_min(poly)
+
+    ri = reduce_exact(poly, ca)
+    e_red, b_best = brute_force_min(ri.poly)
+    assert e_red == pytest.approx(e_orig, rel=0, abs=tol)
+    assert poly.evaluate(lift_solution(ri, b_best)) == pytest.approx(e_red, rel=0, abs=tol)
+
+    e_fixed, _ = brute_force_min(reduce_core_fixed(poly, ca).poly)
+    assert e_fixed >= e_orig - tol

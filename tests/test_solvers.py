@@ -10,8 +10,14 @@ from qubocut import (
     PuboPolynomial,
     brute_force_min,
     classical_pipeline,
+    detect_multilevel,
+    lift_solution,
     maxcut_to_qubo,
     random_regular,
+    reduce_core_fixed,
+    reduce_exact,
+    refine_boundary,
+    solvers,
 )
 from qubocut.errors import ParameterError, PipelineStepError, ResourceLimitError
 
@@ -115,6 +121,32 @@ def test_pipeline_core_fixed_upper_bounds():
         # lifting re-minimizes cores, so it can only improve on the bound
         assert report.lifted_energy <= report.e_min_reduced + 1e-12
         assert report.lifted_energy >= report.e_min_original - 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "core-fixed"])
+def test_pipeline_reduction_matches_library(mode, monkeypatch):
+    # capture the reduced instance the pipeline builds
+    built = []
+    assemble = solvers.assemble_reduced
+
+    def spy(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "assemble_reduced", spy)
+    reducers = {"exact": reduce_exact, "core-fixed": reduce_core_fixed}
+    for seed in range(4):
+        g = random_regular(16, 3, seed=seed)
+        poly = maxcut_to_qubo(g)
+        report = classical_pipeline(g, PipelineConfig(mode=mode, seed=seed))
+        assignment = refine_boundary(g, detect_multilevel(g, seed=seed), seed=seed)
+        library = reducers[mode](poly, assignment)
+        assert built[-1].poly.terms == library.poly.terms
+        assert built[-1].var_map == library.var_map
+        e_reduced, boundary = brute_force_min(library.poly)
+        assert report.e_min_reduced == e_reduced
+        assert report.lifted_spins == lift_solution(library, boundary).tolist()
+        assert report.degree_histogram == library.degree_histogram()
 
 
 def test_pipeline_report_structure():
