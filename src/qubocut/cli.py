@@ -86,26 +86,38 @@ def _apply_caps(args) -> None:
     args.boundary_cap, args.brute_cap, args.qaoa_cap = values
 
 
-def _make_graph(args) -> Graph:
+def _make_graph(args, seed: int | None = None) -> Graph:
+    """The graph named by ``--graph``, or a random one drawn with ``seed``.
+
+    ``seed`` defaults to ``--seed``; ``generate`` and ``bench`` pass one per
+    graph.
+    """
     if args.graph is not None:
         return read_graph(args.graph)
+    seed = args.seed if seed is None else seed
+    if args.kind is not None and args.n is None:
+        raise ParameterError(f"--kind {args.kind} needs --n")
     if args.kind == "regular":
         if args.k is None:
             raise ParameterError("--kind regular needs --k")
-        return random_regular(args.n, args.k, args.seed)
+        return random_regular(args.n, args.k, seed)
     if args.kind in ("er", "erdos"):
         if args.p is None:
             raise ParameterError(f"--kind {args.kind} needs --p")
-        return random_erdos_renyi(args.n, args.p, args.seed)
+        return random_erdos_renyi(args.n, args.p, seed)
     raise ParameterError("give --graph FILE or --kind with --n")
+
+
+def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", choices=("regular", "er", "erdos"), default=None)
+    parser.add_argument("--k", type=int, default=None, help="regular degree")
+    parser.add_argument("--p", type=float, default=None, help="edge probability")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", default=None, help="path to a graph file")
-    parser.add_argument("--kind", choices=("regular", "er", "erdos"), default=None)
     parser.add_argument("--n", type=int, default=None, help="vertex count")
-    parser.add_argument("--k", type=int, default=None, help="regular degree")
-    parser.add_argument("--p", type=float, default=None, help="edge probability")
+    _add_generator_flags(parser)
 
 
 def _load_poly(args) -> PuboPolynomial:
@@ -129,16 +141,15 @@ def cmd_generate(args) -> int:
         write_graph(_make_graph(args), out)
         print(f"wrote {out}")
         return 0
+    if args.graph is not None:
+        raise ParameterError("--count > 1 draws random graphs; drop --graph")
+    seeds = range(args.seed, args.seed + args.count)
+    graphs = [_make_graph(args, seed) for seed in seeds]
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{args.kind}_n{args.n}" + (
         f"_k{args.k}" if args.kind == "regular" else f"_p{args.p}"
     )
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.kind == "regular":
-            g = random_regular(args.n, args.k, seed)
-        else:
-            g = random_erdos_renyi(args.n, args.p, seed)
+    for seed, g in zip(seeds, graphs):
         write_graph(g, out / f"{tag}_s{seed}.txt")
     print(f"wrote {args.count} graphs under {out}")
     return 0
@@ -306,13 +317,9 @@ def cmd_pipeline(args) -> int:
 
 
 def _bench_one(task) -> str:
-    kind, n, k, p, seed, mode, args_dict = task
-    if kind == "regular":
-        g = random_regular(n, k, seed)
-    else:
-        g = random_erdos_renyi(n, p, seed)
-    ns = argparse.Namespace(**args_dict)
-    report = classical_pipeline(g, _pipeline_config(ns, seed, mode))
+    n, seed, mode, args_dict = task
+    ns = argparse.Namespace(**args_dict, graph=None, n=n)
+    report = classical_pipeline(_make_graph(ns, seed), _pipeline_config(ns, seed, mode))
     return report.to_csv_row()
 
 
@@ -324,8 +331,9 @@ def cmd_bench(args) -> int:
             raise ParameterError(f"unknown mode {mode!r} in --modes")
     args_dict = vars(args).copy()
     args_dict.pop("func", None)
+    args_dict["kind"] = args.kind or "regular"
     tasks = [
-        (args.kind or "regular", n, args.k, args.p, args.seed + i, mode, args_dict)
+        (n, args.seed + i, mode, args_dict)
         for n in sizes
         for mode in modes
         for i in range(args.count)
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_bench = sub.add_parser("bench", help="sweep pipeline runs into CSV")
-    _add_graph_source(p_bench)
+    _add_generator_flags(p_bench)
     _common_flags(p_bench)
     p_bench.add_argument("--n-list", default="12,16,20", help="comma-separated sizes")
     p_bench.add_argument("--count", type=int, default=5, help="seeds per size")

@@ -76,22 +76,37 @@ class PuboPolynomial:
             total += coeff * sign
         return total
 
-    def substitute(self, fixed: Mapping[int, int]) -> "PuboPolynomial":
-        """Pin some variables to concrete spins; indices keep their meaning."""
+    def restrict(self, fixed: Mapping[int, int]) -> "PuboPolynomial":
+        """Pin some variables to concrete spins and drop them.
+
+        The remaining variables are renumbered from 0 in their original
+        order, so the result has ``num_vars - len(fixed)`` variables.
+        """
         for i, v in fixed.items():
             if not 0 <= i < self.num_vars:
                 raise ParameterError(f"variable {i} out of range")
             if v not in (1, -1):
                 raise ParameterError(f"spin for variable {i} must be +/-1, got {v}")
+        free = (i for i in range(self.num_vars) if i not in fixed)
+        renumber = {i: j for j, i in enumerate(free)}
         out: list[tuple[tuple[int, ...], float]] = []
         for term, coeff in self.terms.items():
-            kept = tuple(i for i in term if i not in fixed)
+            kept = []
             sign = 1
             for i in term:
-                if i in fixed:
+                j = renumber.get(i)
+                if j is None:
                     sign *= fixed[i]
-            out.append((kept, coeff * sign))
-        return PuboPolynomial(self.num_vars, out)
+                else:
+                    kept.append(j)
+            out.append((tuple(kept), coeff * sign))
+        return PuboPolynomial(len(renumber), out)
+
+    def substitute(self, fixed: Mapping[int, int]) -> "PuboPolynomial":
+        """Pin some variables to concrete spins; indices keep their meaning."""
+        pinned = self.restrict(fixed)
+        free = [i for i in range(self.num_vars) if i not in fixed]
+        return pinned.reindex(dict(enumerate(free)), self.num_vars)
 
     def reindex(self, mapping: Mapping[int, int], num_vars: int) -> "PuboPolynomial":
         """Rename variables through ``mapping``; every used variable must map."""

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import index_to_spins, spins_to_index
+from .bitops import index_to_spins, index_to_term, spins_to_index
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError, UnsupportedDegreeError
 from .polynomial import PuboPolynomial
@@ -200,31 +200,15 @@ def split_energy(
     return subs, PuboPolynomial(poly.num_vars, across_terms)
 
 
-def _core_polynomial(sub: CommunitySubinstance, boundary_mask: int) -> PuboPolynomial:
-    """Pin the boundary locals at ``boundary_mask``; reindex to core-only vars."""
-    nb, nc = sub.num_boundary, sub.num_core
-    spins = index_to_spins(boundary_mask, nb)
-    terms: list[tuple[tuple[int, ...], float]] = []
-    for term, coeff in sub.intra.terms.items():
-        kept = []
-        sign = 1
-        for i in term:
-            if i < nb:
-                sign *= int(spins[i])
-            else:
-                kept.append(i - nb)
-        terms.append((tuple(kept), coeff * sign))
-    return PuboPolynomial(nc, terms)
-
-
 def quench(
     sub: CommunitySubinstance, boundary_cap: int = DEFAULT_BOUNDARY_CAP
 ) -> QuenchTable:
     """Minimize the community energy over its core for every boundary mask.
 
-    Each boundary mask pins the boundary spins, and the remaining core
-    polynomial is solved exactly by :func:`brute_force_min` under that
-    solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
+    Each boundary mask pins the boundary spins with
+    :meth:`PuboPolynomial.restrict`, and the remaining core polynomial is
+    solved exactly by :func:`brute_force_min` under that solver's own
+    variable cap.  ``boundary_cap`` bounds ``|B_c|``.
     """
     if sub.num_boundary > boundary_cap:
         raise ResourceLimitError(
@@ -232,11 +216,13 @@ def quench(
         )
     from .solvers import brute_force_min
 
-    size = 1 << sub.num_boundary
+    nb = sub.num_boundary
+    size = 1 << nb
     energies = np.empty(size, dtype=np.float64)
     argmins = np.empty(size, dtype=np.int64)
     for mask in range(size):
-        energy, core_spins = brute_force_min(_core_polynomial(sub, mask))
+        pinned = dict(enumerate(index_to_spins(mask, nb).tolist()))
+        energy, core_spins = brute_force_min(sub.intra.restrict(pinned))
         energies[mask] = energy
         argmins[mask] = spins_to_index(core_spins)
     return QuenchTable(sub.community, energies, argmins)
@@ -261,27 +247,8 @@ def table_to_polynomial(table) -> PuboPolynomial:
         c = coeffs[t]
         if abs(c) < threshold:
             continue
-        term = tuple(i for i in range(m) if (t >> (m - 1 - i)) & 1)
-        terms.append((term, float(c)))
+        terms.append((index_to_term(t, m), float(c)))
     return PuboPolynomial(m, terms)
-
-
-def _boundary_polynomial(
-    sub: CommunitySubinstance, core_spins: np.ndarray
-) -> PuboPolynomial:
-    """Pin the core locals at fixed spins; reindex to boundary-only vars."""
-    nb = sub.num_boundary
-    terms: list[tuple[tuple[int, ...], float]] = []
-    for term, coeff in sub.intra.terms.items():
-        kept = []
-        sign = 1
-        for i in term:
-            if i < nb:
-                kept.append(i)
-            else:
-                sign *= int(core_spins[i - nb])
-        terms.append((tuple(kept), coeff * sign))
-    return PuboPolynomial(nb, terms)
 
 
 def quench_communities(
@@ -324,7 +291,10 @@ def assemble_reduced(
     if mode == "exact":
         boundary_polys = [table_to_polynomial(t) for t in solved]
     else:
-        boundary_polys = [_boundary_polynomial(s, c) for s, c in zip(subs, solved)]
+        boundary_polys = [
+            sub.intra.restrict(dict(enumerate(core.tolist(), sub.num_boundary)))
+            for sub, core in zip(subs, solved)
+        ]
     total = across.reindex(to_reduced, len(var_map))
     for sub, bp in zip(subs, boundary_polys):
         mapping = {j: to_reduced[v] for j, v in enumerate(sub.boundary_vars)}
@@ -392,6 +362,7 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
             core_mask = int(instance.tables[idx].argmin_cores[mask])
             core_spins = index_to_spins(core_mask, sub.num_core)
         else:
-            _, core_spins = brute_force_min(_core_polynomial(sub, mask))
+            pinned = dict(enumerate(local_boundary))
+            _, core_spins = brute_force_min(sub.intra.restrict(pinned))
         full[list(sub.core_vars)] = core_spins
     return full

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitops import index_to_spins, term_to_index
+from .bitops import index_to_spins
 from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ParameterError, PipelineStepError, ResourceLimitError
 from .graphs import Graph, maxcut_to_qubo
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_CAP = 30
-_FULL_TABLE_LIMIT = 24
-_CHUNK_BITS = 22
+_FULL_TABLE_LIMIT = 22
 
 
 def brute_force_min(
@@ -41,37 +40,26 @@ def brute_force_min(
 ) -> tuple[float, np.ndarray]:
     """Exact minimum energy and its lowest-bitmask witness.
 
-    Up to 24 variables the full energy table is materialized with one fast
-    Walsh-Hadamard transform; beyond that (up to ``cap``) assignments are
-    scanned in fixed-size chunks so memory stays bounded.
+    The leading ``max(0, n - 22)`` variables are pinned to each of their
+    assignments in ascending mask order; the rest form one Walsh-Hadamard
+    energy table of at most ``2**22`` entries per assignment, so memory stays
+    bounded up to ``cap`` variables.  A later block replaces the best only
+    when strictly lower, so ties go to the lowest mask.
     """
     n = poly.num_vars
     if n > cap:
         raise ResourceLimitError(f"{n} variables exceed the brute-force cap {cap}")
-    if n <= _FULL_TABLE_LIMIT:
-        energies = energy_table(poly)
-        best = int(np.argmin(energies))
-        return float(energies[best]), index_to_spins(best, n)
-    term_masks = np.array(
-        [term_to_index(t, n) for t in poly.terms if t], dtype=np.uint64
-    )
-    term_coeffs = np.array(
-        [c for t, c in poly.terms.items() if t], dtype=np.float64
-    )
-    constant = poly.constant()
-    best_energy = np.inf
-    best_mask = 0
-    chunk = 1 << _CHUNK_BITS
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
-        acc = np.full(masks.size, constant, dtype=np.float64)
-        for tmask, coeff in zip(term_masks, term_coeffs):
-            parity = np.bitwise_count(masks & tmask) & np.uint64(1)
-            acc += coeff * (1.0 - 2.0 * parity.astype(np.float64))
-        local = int(np.argmin(acc))
-        if acc[local] < best_energy:
-            best_energy = float(acc[local])
-            best_mask = start + local
+    lead = max(0, n - _FULL_TABLE_LIMIT)
+    best_energy, best_mask = np.inf, 0
+    for prefix in range(1 << lead):
+        block = poly
+        if lead:
+            block = poly.restrict(dict(enumerate(index_to_spins(prefix, lead).tolist())))
+        energies = energy_table(block)
+        local = int(np.argmin(energies))
+        if prefix == 0 or energies[local] < best_energy:
+            best_energy = float(energies[local])
+            best_mask = (prefix << (n - lead)) | local
     return best_energy, index_to_spins(best_mask, n)
 
 

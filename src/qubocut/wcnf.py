@@ -140,9 +140,18 @@ def write_wcnf(instance: WcnfInstance, path=None) -> str:
 
 
 def parse_wcnf(source) -> WcnfInstance:
-    """Parse DIMACS WCNF text (or a path to it)."""
+    """Parse DIMACS WCNF text (or a path to it).
+
+    A :class:`~pathlib.Path` is always read as a file.  A string is text when
+    it spans several lines or its first token is a ``p`` or ``c`` line marker,
+    and a file path otherwise.
+    """
     text = source
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, Path) or (
+        isinstance(source, str)
+        and "\n" not in source
+        and source.split(maxsplit=1)[:1] not in (["p"], ["c"])
+    ):
         text = Path(source).read_text(encoding="utf-8")
     num_vars = None
     declared = None

@@ -87,6 +87,29 @@ def test_generate_missing_parameters(tmp_path, capsys):
     )
     assert rc == 2
     assert stderr.startswith("error:")
+    rc, _, stderr = run_cli(
+        capsys, "generate", "--kind", "regular", "--k", "3",
+        "--out", str(tmp_path / "g.txt"),
+    )
+    assert rc == 2
+    assert stderr.startswith("error:") and "--n" in stderr
+
+
+def test_generate_directory_missing_parameters(tmp_path, capsys, graph_file):
+    out = tmp_path / "batch"
+    rc, _, stderr = run_cli(
+        capsys, "generate", "--kind", "regular", "--n", "8", "--count", "2",
+        "--out", str(out),
+    )
+    assert rc == 2
+    assert stderr.startswith("error:") and "--k" in stderr
+    assert not out.exists()
+    rc, _, stderr = run_cli(
+        capsys, "generate", "--graph", graph_file, "--count", "2", "--out", str(out),
+    )
+    assert rc == 2
+    assert stderr.startswith("error:") and "--graph" in stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +352,19 @@ def test_bench_stdout_and_bad_mode(capsys):
     )
     assert rc == 2
     assert "unknown mode" in stderr
+
+
+def test_bench_missing_degree_is_an_error(capsys):
+    rc, _, stderr = run_cli(capsys, "bench", "--kind", "regular", "--n-list", "8")
+    assert rc == 2
+    assert stderr.startswith("error:") and "--k" in stderr
+
+
+def test_bench_refuses_graph_file(graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--graph", graph_file, "--k", "3", "--n-list", "8"])
+    assert exc.value.code == 2
+    assert "--graph" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,44 @@ def test_substitute_rejects_bad_input():
         p.substitute({0: 0})
 
 
+def test_restrict_renumbers_free_variables():
+    rng = np.random.default_rng(23)
+    p = _random_poly(rng, 6, num_terms=12, max_degree=3)
+    fixed = {1: -1, 4: 1}
+    r = p.restrict(fixed)
+    # free variables 0, 2, 3, 5 become 0, 1, 2, 3 in their original order
+    assert r.num_vars == 4
+    for spins in all_spin_vectors(4):
+        full = np.array([spins[0], -1, spins[1], spins[2], 1, spins[3]])
+        assert r.evaluate(spins) == pytest.approx(p.evaluate(full), abs=1e-12)
+    assert r.reindex({0: 0, 1: 2, 2: 3, 3: 5}, 6) == p.substitute(fixed)
+    q = PuboPolynomial(4, [((0, 2), 2.0), ((1, 3), -1.0), ((2,), 0.5), ((0,), 3.0)])
+    assert q.restrict({0: -1, 3: 1}).terms == {(): -3.0, (1,): -1.5, (0,): -1.0}
+
+
+def test_restrict_rejects_bad_input():
+    p = PuboPolynomial(3, [((0, 1), 1.0)])
+    with pytest.raises(ParameterError):
+        p.restrict({3: 1})
+    with pytest.raises(ParameterError):
+        p.restrict({-1: 1})
+    with pytest.raises(ParameterError):
+        p.restrict({0: 0})
+    with pytest.raises(ParameterError):
+        p.restrict({0: 2})
+
+
+def test_restrict_all_variables_gives_constant():
+    rng = np.random.default_rng(24)
+    p = _random_poly(rng, 5, num_terms=10, max_degree=3)
+    spins = np.array([1, -1, -1, 1, -1])
+    r = p.restrict(dict(enumerate(spins.tolist())))
+    assert r.num_vars == 0
+    assert set(r.terms) <= {()}
+    assert r.constant() == pytest.approx(p.evaluate(spins), abs=1e-12)
+    assert p.restrict({}) == p
+
+
 def test_reindex_permutation():
     p = PuboPolynomial(3, [((0, 1), 2.0), ((2,), -1.0)])
     q = p.reindex({0: 2, 1: 0, 2: 1}, 3)

@@ -70,16 +70,29 @@ def test_maxcut_minimum_is_doubly_degenerate():
 
 
 def test_large_instance_chunked_path_embedding():
-    # a 12-variable problem embedded in 25 variables crosses into the
-    # chunked evaluator; unused variables resolve to +1 by mask order
+    # 12-variable problems embedded in 23 and 25 variables cross into the
+    # blocked path, which pins the leading variables block by block; unused
+    # variables resolve to +1 by mask order
     g = random_regular(12, 3, seed=53)
-    small = maxcut_to_qubo(g)
-    e_small, s_small = brute_force_min(small)
-    big = PuboPolynomial(25, list(small.terms.items()))
-    e_big, s_big = brute_force_min(big)
-    assert e_big == e_small
-    np.testing.assert_array_equal(s_big[:12], s_small)
-    np.testing.assert_array_equal(s_big[12:], np.ones(13, dtype=np.int8))
+    unit = maxcut_to_qubo(g)
+    rng = np.random.default_rng(53)
+    # dyadic non-unit weights keep every sum exact; the field on variable 0
+    # puts the optimum at s_0 = -1, outside the first block
+    dyadic = PuboPolynomial(
+        12,
+        [(t, c * int(rng.integers(1, 9)) / 4) for t, c in unit.terms.items()]
+        + [((i,), int(rng.integers(-4, 5)) / 8) for i in range(12)]
+        + [((0,), 4.0)],
+    )
+    for small in (unit, dyadic):
+        e_small, s_small = brute_force_min(small)
+        for n in (23, 25):
+            big = PuboPolynomial(n, list(small.terms.items()))
+            e_big, s_big = brute_force_min(big)
+            assert e_big == e_small
+            np.testing.assert_array_equal(s_big[:12], s_small)
+            np.testing.assert_array_equal(s_big[12:], np.ones(n - 12, dtype=np.int8))
+    assert s_small[0] == -1
 
 
 def test_large_instance_unique_linear_minimum():

@@ -9,6 +9,7 @@ import pytest
 from qubocut import (
     PipelineConfig,
     PuboPolynomial,
+    WcnfInstance,
     classical_pipeline,
     maxcut_to_qubo,
     parse_wcnf,
@@ -203,6 +204,13 @@ def test_round_trip_through_file(tmp_path):
     assert path.read_text(encoding="utf-8") == text
     assert parse_wcnf(path) == inst
     assert parse_wcnf(str(path)) == inst
+
+
+def test_parse_single_line_text():
+    # one line of WCNF text is text, not a file name
+    inst = parse_wcnf("p wcnf 2 0 1")
+    assert inst == WcnfInstance(2, (), 0.0, 1)
+    assert inst.total_weight() == 0
 
 
 def test_parse_rejects_malformed():
