@@ -4,8 +4,9 @@ Subcommands cover the library surface: ``generate`` writes random graphs,
 ``stats`` reports community/boundary statistics, ``reduce`` writes a reduced
 instance, ``solve`` minimizes exactly or through a MaxSAT solver, ``qaoa``
 runs the simulator, ``pipeline`` times the full reduction on one graph, and
-``bench`` sweeps ensembles into CSV.  Shared flags (seed, format, caps,
-solver command, jobs) are accepted by every subcommand.
+``bench`` sweeps ensembles into CSV.  Every subcommand takes ``--seed``;
+each registers only the other shared flags (format, jobs, solver command,
+caps) that it reads, so a flag it would ignore is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graphs import (
     write_graph,
 )
 from .polynomial import PuboPolynomial
+from .qaoa import DEFAULT_QAOA_CAP, optimize
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
     assemble_reduced,
@@ -47,43 +49,41 @@ STATS_HEADER = (
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    parser.add_argument("--solver-cmd", default=None, help="external MaxSAT command")
-    parser.add_argument(
-        "--boundary-cap", type=int, default=DEFAULT_BOUNDARY_CAP,
+_SHARED_FLAGS = {
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
+    "jobs": dict(type=int, default=1, help="parallel workers"),
+    "solver-cmd": dict(default=None, help="external MaxSAT command"),
+    "boundary-cap": dict(
+        type=int, default=DEFAULT_BOUNDARY_CAP,
         help="max community boundary size for quenching",
-    )
-    parser.add_argument(
-        "--brute-cap", type=int, default=DEFAULT_BRUTE_CAP,
-        help="max variables for exact enumeration",
-    )
-    parser.add_argument(
-        "--qaoa-cap", type=int, default=24, help="max qubits for statevectors"
-    )
-    parser.add_argument(
-        "--caps", default=None,
-        help="override all caps as BOUNDARY,BRUTE,QAOA (or one value for all)",
-    )
+    ),
+    "brute-cap": dict(
+        type=int, default=DEFAULT_BRUTE_CAP, help="max variables for exact enumeration"
+    ),
+    "qaoa-cap": dict(
+        type=int, default=DEFAULT_QAOA_CAP, help="max qubits for statevectors"
+    ),
+}
 
 
-def _apply_caps(args) -> None:
-    if getattr(args, "caps", None) is None:
-        return
-    parts = [tok.strip() for tok in args.caps.split(",")]
-    try:
-        values = [int(tok) for tok in parts]
-    except ValueError as exc:
-        raise ParameterError(f"--caps expects integers, got {args.caps!r}") from exc
-    if len(values) == 1:
-        values = values * 3
-    if len(values) != 3:
-        raise ParameterError("--caps takes one value or BOUNDARY,BRUTE,QAOA")
-    args.boundary_cap, args.brute_cap, args.qaoa_cap = values
+def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register ``--seed`` and the named entries of ``_SHARED_FLAGS``."""
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
+
+
+def _pipeline_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register what :func:`_pipeline_config` reads, plus the named shared flags.
+
+    The graph flags ``--kind`` and ``--k`` come from the graph source.
+    """
+    _shared_flags(parser, *names, "solver-cmd", "boundary-cap", "brute-cap", "qaoa-cap")
+    parser.add_argument("--backend", choices=("oracle", "wcnf", "qaoa"), default="oracle")
+    parser.add_argument("--no-refine", action="store_true")
+    parser.add_argument("--depth", type=int, default=4)
+    parser.add_argument("--budget", type=int, default=10_000)
+    parser.add_argument("--starts", type=int, default=4)
 
 
 def _make_graph(args, seed: int | None = None) -> Graph:
@@ -127,7 +127,9 @@ def _load_poly(args) -> PuboPolynomial:
 
 
 def _emit(args, payload: dict, csv_line: str | None = None, header: str | None = None):
-    if args.format == "csv" and csv_line is not None:
+    """Print ``payload`` as JSON, or ``csv_line`` under ``--format csv``; only
+    commands that pass a CSV line register ``--format``."""
+    if csv_line is not None and args.format == "csv":
         if header:
             print(header)
         print(csv_line)
@@ -183,11 +185,7 @@ def _stats_row(path: str, seed: int, refine: bool) -> tuple[dict, str]:
             (g.num_vertices - b_ref) / g.num_vertices if g.num_vertices else 0.0
         )
     csv_line = ",".join(
-        "" if row[key] is None else str(row[key])
-        for key in (
-            "graph", "n", "m", "num_communities", "mean_community_size",
-            "b_baseline", "b_refined", "reduction_baseline", "reduction_refined",
-        )
+        "" if row[key] is None else str(row[key]) for key in STATS_HEADER.split(",")
     )
     return row, csv_line
 
@@ -252,8 +250,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_qaoa(args) -> int:
-    from .qaoa import optimize
-
     if args.input is not None:
         poly = PuboPolynomial.load(args.input)
     elif args.graph is not None:
@@ -364,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write random graph files")
     _add_graph_source(p_gen)
-    _common_flags(p_gen)
+    _shared_flags(p_gen)
     p_gen.add_argument("--count", type=int, default=1, help="graphs to write")
     p_gen.add_argument("--out", required=True, help="file (count=1) or directory")
     p_gen.set_defaults(func=cmd_generate)
@@ -372,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="community and boundary statistics")
     p_stats.add_argument("graphs", nargs="+", help="graph files")
     p_stats.add_argument("--no-refine", action="store_true")
-    _common_flags(p_stats)
+    _shared_flags(p_stats, "format")
     p_stats.set_defaults(func=cmd_stats)
 
     p_red = sub.add_parser("reduce", help="reduce a graph's QUBO to a boundary PUBO")
     _add_graph_source(p_red)
-    _common_flags(p_red)
+    _shared_flags(p_red, "boundary-cap")
     p_red.add_argument("--mode", choices=("exact", "core-fixed"), default="exact")
     p_red.add_argument("--membership", default=None, help="reuse a partition file")
     p_red.add_argument("--no-refine", action="store_true")
@@ -386,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="minimize a polynomial or graph exactly")
     _add_graph_source(p_solve)
-    _common_flags(p_solve)
+    _shared_flags(p_solve, "format", "solver-cmd", "brute-cap")
     p_solve.add_argument("--poly", default=None, help="polynomial JSON path")
     p_solve.set_defaults(func=cmd_solve)
 
     p_qaoa = sub.add_parser("qaoa", help="simulate QAOA on a polynomial or graph")
-    _common_flags(p_qaoa)
+    _shared_flags(p_qaoa, "brute-cap", "qaoa-cap")
     p_qaoa.add_argument("--input", default=None, help="polynomial JSON path")
     p_qaoa.add_argument("--graph", default=None, help="path to a graph file")
     p_qaoa.add_argument("--p", type=int, default=4, help="circuit depth")
@@ -402,26 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     _add_graph_source(p_pipe)
-    _common_flags(p_pipe)
+    _pipeline_flags(p_pipe, "format")
     p_pipe.add_argument("--mode", choices=("exact", "core-fixed"), default="exact")
-    p_pipe.add_argument("--backend", choices=("oracle", "wcnf", "qaoa"), default="oracle")
-    p_pipe.add_argument("--no-refine", action="store_true")
-    p_pipe.add_argument("--depth", type=int, default=4)
-    p_pipe.add_argument("--budget", type=int, default=10_000)
-    p_pipe.add_argument("--starts", type=int, default=4)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_bench = sub.add_parser("bench", help="sweep pipeline runs into CSV")
     _add_generator_flags(p_bench)
-    _common_flags(p_bench)
+    _pipeline_flags(p_bench, "jobs")
     p_bench.add_argument("--n-list", default="12,16,20", help="comma-separated sizes")
     p_bench.add_argument("--count", type=int, default=5, help="seeds per size")
     p_bench.add_argument("--modes", default="exact", help="comma-separated modes")
-    p_bench.add_argument("--backend", choices=("oracle", "wcnf", "qaoa"), default="oracle")
-    p_bench.add_argument("--no-refine", action="store_true")
-    p_bench.add_argument("--depth", type=int, default=4)
-    p_bench.add_argument("--budget", type=int, default=10_000)
-    p_bench.add_argument("--starts", type=int, default=4)
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -431,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_caps(args)
         return args.func(args)
     except (ParameterError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

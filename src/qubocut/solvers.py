@@ -12,6 +12,7 @@ from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ParameterError, PipelineStepError, ResourceLimitError
 from .graphs import Graph, maxcut_to_qubo
 from .polynomial import PuboPolynomial, energy_table
+from .qaoa import DEFAULT_QAOA_CAP
 # ``quench`` stays importable as ``solvers.quench`` for the benchmark's tracer
 from .reducer import (  # noqa: F401
     DEFAULT_BOUNDARY_CAP,
@@ -87,7 +88,7 @@ class PipelineConfig:
     qaoa_depth: int = 4
     qaoa_budget: int = 10_000
     qaoa_starts: int = 4
-    qaoa_cap: int = 24
+    qaoa_cap: int = DEFAULT_QAOA_CAP
     graph_kind: str = ""
     graph_k: int | None = None
 
@@ -159,8 +160,14 @@ class PipelineReport:
 CSV_HEADER = "n,k,seed,mode,num_communities,B,g,t1,t2,t3,t4,e_min_original,e_min_reduced"
 
 
-def _qaoa_comparison(poly, instance, assignment, cfg: PipelineConfig) -> dict:
-    """Ratios for the three cases: original, reduced exact, reduced core-fixed."""
+def _qaoa_comparison(
+    poly, instance, assignment, cfg: PipelineConfig, e_reduced: float
+) -> dict:
+    """Ratios for the three cases: original, reduced exact, reduced core-fixed.
+
+    ``e_reduced`` is the minimum of ``instance.poly``, already found by the
+    solve stage, so only the other two targets are brute-forced here.
+    """
     from .qaoa import optimize
     from .reducer import reduce_core_fixed, reduce_exact
 
@@ -177,7 +184,10 @@ def _qaoa_comparison(poly, instance, assignment, cfg: PipelineConfig) -> dict:
         ("reduced_core_fixed", cf_poly),
     )
     for tag, target in cases:
-        e_min, _ = brute_force_min(target, cfg.brute_cap)
+        if target is instance.poly:
+            e_min = e_reduced
+        else:
+            e_min, _ = brute_force_min(target, cfg.brute_cap)
         result = optimize(
             target,
             p=cfg.qaoa_depth,
@@ -215,7 +225,7 @@ def _solve_reduced(instance: ReducedInstance, poly, assignment, cfg: PipelineCon
         return (*brute_force_min(reduced, cfg.brute_cap), None)
     if cfg.backend == "qaoa":
         e_min, spins = brute_force_min(reduced, cfg.brute_cap)
-        return e_min, spins, _qaoa_comparison(poly, instance, assignment, cfg)
+        return e_min, spins, _qaoa_comparison(poly, instance, assignment, cfg, e_min)
     return (*brute_force_min(reduced, cfg.brute_cap), None)
 
 

@@ -16,7 +16,7 @@ from qubocut import (
     read_graph,
     write_graph,
 )
-from qubocut.cli import STATS_HEADER, _apply_caps, build_parser, main
+from qubocut.cli import STATS_HEADER, main
 from oracles import enumerate_min
 
 
@@ -371,35 +371,44 @@ def test_bench_refuses_graph_file(graph_file, capsys):
 # shared flags
 
 
-def test_caps_single_value_sets_all():
-    args = build_parser().parse_args(
-        ["solve", "--kind", "regular", "--n", "8", "--k", "3", "--caps", "5"]
-    )
-    _apply_caps(args)
-    assert (args.boundary_cap, args.brute_cap, args.qaoa_cap) == (5, 5, 5)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--format", "csv", "--out", "g.txt"],
+        ["reduce", "--format", "csv"],
+        ["qaoa", "--format", "csv"],
+        ["bench", "--format", "json"],
+        ["stats", "g.txt", "--brute-cap", "5"],
+        ["solve", "--jobs", "2"],
+        ["solve", "--caps", "5"],
+    ],
+    ids=[
+        "generate-format", "reduce-format", "qaoa-format", "bench-format",
+        "stats-brute-cap", "solve-jobs", "solve-caps",
+    ],
+)
+def test_unread_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_caps_triple():
-    args = build_parser().parse_args(
-        ["solve", "--kind", "regular", "--n", "8", "--k", "3",
-         "--caps", "12, 26, 20"]
-    )
-    _apply_caps(args)
-    assert (args.boundary_cap, args.brute_cap, args.qaoa_cap) == (12, 26, 20)
-
-
-def test_caps_bad_values_exit_2(capsys):
-    rc, _, stderr = run_cli(
-        capsys, "solve", "--kind", "regular", "--n", "8", "--k", "3",
-        "--caps", "1,2",
-    )
-    assert rc == 2 and "--caps" in stderr
-
-    rc, _, stderr = run_cli(
-        capsys, "solve", "--kind", "regular", "--n", "8", "--k", "3",
-        "--caps", "abc",
-    )
-    assert rc == 2 and "integers" in stderr
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce", "--boundary-cap", "0"], "exceeds cap 0"),
+        (["solve", "--brute-cap", "4"], "brute-force cap 4"),
+        (["qaoa", "--qaoa-cap", "4"], "statevector cap 4"),
+    ],
+    ids=["reduce", "solve", "qaoa"],
+)
+def test_cap_flags_are_read(argv, message, tmp_path, capsys):
+    path = tmp_path / "g8.txt"
+    write_graph(random_regular(8, 3, seed=1), path)
+    rc, _, stderr = run_cli(capsys, *argv, "--graph", str(path))
+    assert rc == 2
+    assert stderr.startswith("error:") and message in stderr
 
 
 def test_version_flag(capsys):
