@@ -32,16 +32,19 @@ from .polynomial import PuboPolynomial
 from .qaoa import DEFAULT_QAOA_CAP, optimize
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
+    MODES,
     assemble_reduced,
     quench_communities,
 )
 from .solvers import (
+    BACKENDS,
     CSV_HEADER,
     DEFAULT_BRUTE_CAP,
     PipelineConfig,
     brute_force_min,
     classical_pipeline,
 )
+from .wcnf import pubo_to_wcnf, run_external_solver
 
 STATS_HEADER = (
     "graph,n,m,num_communities,mean_community_size,"
@@ -79,7 +82,7 @@ def _pipeline_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     The graph flags ``--kind`` and ``--k`` come from the graph source.
     """
     _shared_flags(parser, *names, "solver-cmd", "boundary-cap", "brute-cap", "qaoa-cap")
-    parser.add_argument("--backend", choices=("oracle", "wcnf", "qaoa"), default="oracle")
+    parser.add_argument("--backend", choices=BACKENDS, default="oracle")
     parser.add_argument("--no-refine", action="store_true")
     parser.add_argument("--depth", type=int, default=4)
     parser.add_argument("--budget", type=int, default=10_000)
@@ -236,8 +239,6 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     poly = _load_poly(args)
     if args.solver_cmd is not None:
-        from .wcnf import pubo_to_wcnf, run_external_solver
-
         res = run_external_solver(pubo_to_wcnf(poly), args.solver_cmd, poly)
         energy, spins = res.energy, res.spins
         method = "wcnf"
@@ -265,7 +266,7 @@ def cmd_qaoa(args) -> int:
         budget=args.budget,
         starts=args.starts,
         seed=args.seed,
-        e_min=e_min if e_min else None,
+        e_min=e_min,
         cap=args.qaoa_cap,
     )
     if args.trace_out:
@@ -323,7 +324,7 @@ def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.n_list.split(",") if tok]
     modes = args.modes.split(",")
     for mode in modes:
-        if mode not in ("exact", "core-fixed"):
+        if mode not in MODES:
             raise ParameterError(f"unknown mode {mode!r} in --modes")
     args_dict = vars(args).copy()
     args_dict.pop("func", None)
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = sub.add_parser("reduce", help="reduce a graph's QUBO to a boundary PUBO")
     _add_graph_source(p_red)
     _shared_flags(p_red, "boundary-cap")
-    p_red.add_argument("--mode", choices=("exact", "core-fixed"), default="exact")
+    p_red.add_argument("--mode", choices=MODES, default="exact")
     p_red.add_argument("--membership", default=None, help="reuse a partition file")
     p_red.add_argument("--no-refine", action="store_true")
     p_red.add_argument("--out", default=None, help="write reduced instance JSON")
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     _add_graph_source(p_pipe)
     _pipeline_flags(p_pipe, "format")
-    p_pipe.add_argument("--mode", choices=("exact", "core-fixed"), default="exact")
+    p_pipe.add_argument("--mode", choices=MODES, default="exact")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_bench = sub.add_parser("bench", help="sweep pipeline runs into CSV")

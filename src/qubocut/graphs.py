@@ -28,7 +28,7 @@ _PAIRING_ATTEMPTS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with optional positive edge weights."""
+    """Simple undirected graph with optional nonnegative edge weights."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -46,18 +46,18 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for {n} vertices")
             canon.append((u, v) if u < v else (v, u))
-        if self.weights is None:
-            order = sorted(range(len(canon)), key=lambda i: canon[i])
-            weights = None
-        else:
+        order = sorted(range(len(canon)), key=lambda i: canon[i])
+        weights = None
+        if self.weights is not None:
             if len(self.weights) != len(canon):
                 raise ParameterError(
                     f"{len(self.weights)} weights for {len(canon)} edges"
                 )
-            order = sorted(range(len(canon)), key=lambda i: canon[i])
             weights = tuple(float(self.weights[i]) for i in order)
             if not np.all(np.isfinite(weights)):
                 raise ParameterError("edge weights must be finite")
+            if any(w < 0 for w in weights):
+                raise ParameterError("edge weights must be nonnegative")
         edges = tuple(canon[i] for i in order)
         if len(set(edges)) != len(edges):
             raise ParameterError("duplicate edges")

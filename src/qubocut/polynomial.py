@@ -102,12 +102,6 @@ class PuboPolynomial:
             out.append((tuple(kept), coeff * sign))
         return PuboPolynomial(len(renumber), out)
 
-    def substitute(self, fixed: Mapping[int, int]) -> "PuboPolynomial":
-        """Pin some variables to concrete spins; indices keep their meaning."""
-        pinned = self.restrict(fixed)
-        free = [i for i in range(self.num_vars) if i not in fixed]
-        return pinned.reindex(dict(enumerate(free)), self.num_vars)
-
     def reindex(self, mapping: Mapping[int, int], num_vars: int) -> "PuboPolynomial":
         """Rename variables through ``mapping``; every used variable must map."""
         out = []

@@ -176,7 +176,8 @@ def optimize(
 
     Initial points draw gamma from [0, 2pi) and beta from [0, pi); the budget
     counts every expectation evaluation across all starts and is never
-    exceeded.  With ``e_min`` given, the returned ratio is best/e_min.
+    exceeded.  With a nonzero ``e_min`` the returned ratio is best/e_min;
+    it is None when ``e_min`` is None or zero, where the ratio is undefined.
     """
     if p < 0:
         raise ParameterError(f"depth must be nonnegative, got {p}")
@@ -193,7 +194,7 @@ def optimize(
     if p == 0:
         state = np.full(energies.size, 1.0 / np.sqrt(energies.size), np.complex128)
         value = expectation(state, energies)
-        ratio = None if e_min is None else approximation_ratio(value, e_min)
+        ratio = approximation_ratio(value, e_min) if e_min else None
         return QaoaResult(
             QaoaParams(np.zeros(0), np.zeros(0)), value, ratio, 1, [value]
         )
@@ -235,5 +236,5 @@ def optimize(
 
     params = QaoaParams.from_flat(best["x"])
     value = float(best["value"])
-    ratio = None if e_min is None else approximation_ratio(value, e_min)
+    ratio = approximation_ratio(value, e_min) if e_min else None
     return QaoaResult(params, value, ratio, len(trace), trace)

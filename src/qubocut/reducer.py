@@ -42,10 +42,12 @@ __all__ = [
     "reduce_exact",
     "reduce_core_fixed",
     "lift_solution",
+    "MODES",
     "WHT_PRUNE_EPS",
     "DEFAULT_BOUNDARY_CAP",
 ]
 
+MODES = ("exact", "core-fixed")
 WHT_PRUNE_EPS = 1e-9
 DEFAULT_BOUNDARY_CAP = 24
 
@@ -127,7 +129,7 @@ class ReducedInstance:
             num_original = int(data["num_original_vars"])
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed reduced-instance JSON: {exc}") from exc
-        if mode not in ("exact", "core-fixed"):
+        if mode not in MODES:
             raise ParameterError(f"unknown mode {mode!r}")
         return cls(poly, var_map, num_original, mode)
 
@@ -238,16 +240,11 @@ def table_to_polynomial(table) -> PuboPolynomial:
     dropped, so pruning removes rounding noise at any weight scale.
     """
     energies = np.asarray(getattr(table, "energies", table), dtype=np.float64)
-    transformed = fwht(energies)
     m = energies.size.bit_length() - 1
-    coeffs = transformed / energies.size
+    coeffs = fwht(energies) / energies.size
     threshold = WHT_PRUNE_EPS * np.abs(energies).max()
-    terms = []
-    for t in range(energies.size):
-        c = coeffs[t]
-        if abs(c) < threshold:
-            continue
-        terms.append((index_to_term(t, m), float(c)))
+    kept = np.flatnonzero(np.abs(coeffs) >= threshold)
+    terms = [(index_to_term(int(t), m), float(coeffs[t])) for t in kept]
     return PuboPolynomial(m, terms)
 
 
@@ -263,7 +260,7 @@ def quench_communities(
     its :class:`QuenchTable` (exact) or the core spins of the lowest-bitmask
     optimum of its whole subinstance (core-fixed).
     """
-    if mode not in ("exact", "core-fixed"):
+    if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     subs, across = split_energy(poly, assignment)
     if mode == "exact":

@@ -9,19 +9,22 @@ import numpy as np
 
 from .bitops import index_to_spins
 from .community import detect_multilevel, refine_boundary, score_g
-from .errors import ParameterError, PipelineStepError, ResourceLimitError
+from .errors import ExternalSolverError, ParameterError, PipelineStepError, ResourceLimitError
 from .graphs import Graph, maxcut_to_qubo
 from .polynomial import PuboPolynomial, energy_table
-from .qaoa import DEFAULT_QAOA_CAP
+from .qaoa import DEFAULT_QAOA_CAP, optimize
 # ``quench`` stays importable as ``solvers.quench`` for the benchmark's tracer
 from .reducer import (  # noqa: F401
     DEFAULT_BOUNDARY_CAP,
-    ReducedInstance,
+    MODES,
     assemble_reduced,
     lift_solution,
     quench,
     quench_communities,
+    reduce_core_fixed,
+    reduce_exact,
 )
+from .wcnf import pubo_to_wcnf, run_external_solver
 
 __all__ = [
     "brute_force_min",
@@ -30,9 +33,11 @@ __all__ = [
     "classical_pipeline",
     "DEFAULT_BRUTE_CAP",
     "CSV_HEADER",
+    "BACKENDS",
 ]
 
 DEFAULT_BRUTE_CAP = 30
+BACKENDS = ("oracle", "wcnf", "qaoa")
 _FULL_TABLE_LIMIT = 22
 
 
@@ -93,9 +98,9 @@ class PipelineConfig:
     graph_k: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "core-fixed"):
+        if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.backend not in ("oracle", "wcnf", "qaoa"):
+        if self.backend not in BACKENDS:
             raise ParameterError(f"unknown backend {self.backend!r}")
 
 
@@ -135,58 +140,50 @@ class PipelineReport:
         return out
 
     def to_csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else repr(x)
-
-        return ",".join(
-            [
-                str(self.n),
-                "" if self.graph_k is None else str(self.graph_k),
-                str(self.seed),
-                self.mode,
-                str(self.num_communities),
-                str(self.boundary_size),
-                str(self.score),
-                repr(self.t_detect),
-                repr(self.t_quench),
-                repr(self.t_assemble),
-                repr(self.t_solve),
-                fmt(self.e_min_original),
-                fmt(self.e_min_reduced),
-            ]
-        )
+        return ",".join(_csv_cell(getattr(self, attr)) for _, attr in _CSV_COLUMNS)
 
 
-CSV_HEADER = "n,k,seed,mode,num_communities,B,g,t1,t2,t3,t4,e_min_original,e_min_reduced"
+# (CSV column, PipelineReport attribute); t1..t4 are the four stage timings
+_CSV_COLUMNS = (
+    ("n", "n"), ("k", "graph_k"), ("seed", "seed"), ("mode", "mode"),
+    ("num_communities", "num_communities"), ("B", "boundary_size"), ("g", "score"),
+    ("t1", "t_detect"), ("t2", "t_quench"), ("t3", "t_assemble"), ("t4", "t_solve"),
+    ("e_min_original", "e_min_original"), ("e_min_reduced", "e_min_reduced"),
+)
+CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
 
 
 def _qaoa_comparison(
-    poly, instance, assignment, cfg: PipelineConfig, e_reduced: float
+    poly, instance, assignment, cfg: PipelineConfig,
+    e_original: float | None, e_reduced: float,
 ) -> dict:
-    """Ratios for the three cases: original, reduced exact, reduced core-fixed.
+    """QAOA on the original and on both reductions, plus the wall time.
 
-    ``e_reduced`` is the minimum of ``instance.poly``, already found by the
-    solve stage, so only the other two targets are brute-forced here.
+    ``e_original`` and ``e_reduced`` are the minima of ``poly`` and
+    ``instance.poly`` the pipeline already found (``e_original`` is None
+    above ``cfg.brute_cap``, and brute-forcing it then raises); only the
+    other mode's reduction is built and brute-forced here.
     """
-    from .qaoa import optimize
-    from .reducer import reduce_core_fixed, reduce_exact
-
+    t0 = time.perf_counter()
     if instance.mode == "exact":
-        exact_poly = instance.poly
-        cf_poly = reduce_core_fixed(poly, assignment).poly
+        other = reduce_core_fixed(poly, assignment)
     else:
-        cf_poly = instance.poly
-        exact_poly = reduce_exact(poly, assignment, boundary_cap=cfg.boundary_cap).poly
-    info = {"depth": cfg.qaoa_depth, "budget": cfg.qaoa_budget}
+        other = reduce_exact(poly, assignment, boundary_cap=cfg.boundary_cap)
+    targets = {instance.mode: (instance.poly, e_reduced), other.mode: (other.poly, None)}
     cases = (
-        ("original", poly),
-        ("reduced_exact", exact_poly),
-        ("reduced_core_fixed", cf_poly),
+        ("original", poly, e_original),
+        ("reduced_exact", *targets["exact"]),
+        ("reduced_core_fixed", *targets["core-fixed"]),
     )
-    for tag, target in cases:
-        if target is instance.poly:
-            e_min = e_reduced
-        else:
+    info = {"depth": cfg.qaoa_depth, "budget": cfg.qaoa_budget}
+    for tag, target, e_min in cases:
+        if e_min is None:
             e_min, _ = brute_force_min(target, cfg.brute_cap)
         result = optimize(
             target,
@@ -194,22 +191,20 @@ def _qaoa_comparison(
             budget=cfg.qaoa_budget,
             starts=cfg.qaoa_starts,
             seed=cfg.seed,
-            e_min=e_min if e_min != 0 else None,
+            e_min=e_min,
             cap=cfg.qaoa_cap,
         )
         info[f"ratio_{tag}"] = result.ratio
         info[f"expectation_{tag}"] = result.expectation
         info[f"evals_{tag}"] = result.evals_used
+    info["seconds"] = time.perf_counter() - t0
     return info
 
 
-def _solve_reduced(instance: ReducedInstance, poly, assignment, cfg: PipelineConfig):
-    """Returns (reduced min energy, reduced argmin spins, qaoa info or None)."""
-    reduced = instance.poly
+def _solve_reduced(reduced: PuboPolynomial, cfg: PipelineConfig):
+    """(minimum energy, argmin spins): the external solver for ``wcnf``,
+    else (or as its fallback) the brute-force oracle."""
     if cfg.backend == "wcnf":
-        from .errors import ExternalSolverError
-        from .wcnf import pubo_to_wcnf, run_external_solver
-
         if cfg.solver_cmd is None and not cfg.fallback_to_oracle:
             raise ParameterError("wcnf backend needs solver_cmd (or fallback enabled)")
         if cfg.solver_cmd is not None:
@@ -218,22 +213,23 @@ def _solve_reduced(instance: ReducedInstance, poly, assignment, cfg: PipelineCon
                     pubo_to_wcnf(reduced), cfg.solver_cmd, reduced,
                     timeout=cfg.solver_timeout,
                 )
-                return res.energy, res.spins, None
+                return res.energy, res.spins
             except ExternalSolverError:
                 if not cfg.fallback_to_oracle:
                     raise
-        return (*brute_force_min(reduced, cfg.brute_cap), None)
-    if cfg.backend == "qaoa":
-        e_min, spins = brute_force_min(reduced, cfg.brute_cap)
-        return e_min, spins, _qaoa_comparison(poly, instance, assignment, cfg, e_min)
-    return (*brute_force_min(reduced, cfg.brute_cap), None)
+    return brute_force_min(reduced, cfg.brute_cap)
 
 
 def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineReport:
     """Detect communities, quench, assemble the reduced PUBO, solve, lift.
 
-    The four stages are timed separately; any failure is re-raised as a
-    :class:`PipelineStepError` naming the stage.
+    The four stages are timed separately (``t_solve`` covers solve and
+    lift); any failure is re-raised as a :class:`PipelineStepError` naming
+    the stage.  With ``backend="qaoa"`` the reduced instance is still solved
+    exactly; afterwards, outside the timed stages, QAOA runs on the original
+    and on both reductions and the result goes to ``report.qaoa``, with its
+    wall time as ``report.qaoa["seconds"]``.  A failure there is step
+    ``"qaoa"``.
     """
     cfg = cfg or PipelineConfig()
     report = PipelineReport(
@@ -278,14 +274,11 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
 
     t0 = time.perf_counter()
     try:
-        e_reduced, reduced_spins, qaoa_info = _solve_reduced(
-            instance, poly, assignment, cfg
-        )
+        e_reduced, reduced_spins = _solve_reduced(instance.poly, cfg)
         lifted = lift_solution(instance, reduced_spins)
         report.e_min_reduced = float(e_reduced)
         report.lifted_spins = lifted.tolist()
         report.lifted_energy = float(poly.evaluate(lifted))
-        report.qaoa = qaoa_info
     except Exception as exc:
         raise PipelineStepError("solve", exc) from exc
     report.t_solve = time.perf_counter() - t0
@@ -293,4 +286,13 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     if g.num_vertices <= cfg.brute_cap:
         e_orig, _ = brute_force_min(poly, cfg.brute_cap)
         report.e_min_original = float(e_orig)
+
+    if cfg.backend == "qaoa":
+        try:
+            report.qaoa = _qaoa_comparison(
+                poly, instance, assignment, cfg,
+                report.e_min_original, report.e_min_reduced,
+            )
+        except Exception as exc:
+            raise PipelineStepError("qaoa", exc) from exc
     return report

@@ -43,14 +43,19 @@ def test_graph_validation():
         Graph(3, ((0, 1),), weights=(1.0, 2.0))
 
 
-def test_graph_rejects_non_finite_weights(tmp_path):
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ParameterError, match="finite"):
+def test_graph_rejects_bad_weights(tmp_path):
+    for bad, match in (
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (float("-inf"), "finite"),
+        (-1.0, "nonnegative"),
+    ):
+        with pytest.raises(ParameterError, match=match):
             Graph(3, ((0, 1), (1, 2)), weights=(1.0, bad))
-    path = tmp_path / "nan.txt"
-    path.write_text("2 1\n0 1 nan\n", encoding="utf-8")
-    with pytest.raises(ParameterError, match="finite"):
-        read_graph(path)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 1\n0 1 {bad}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=match):
+            read_graph(path)
 
 
 def test_degrees_and_adjacency():

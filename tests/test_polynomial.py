@@ -67,26 +67,6 @@ def test_evaluate_validates_length():
         p.evaluate([1, 0, -1])
 
 
-def test_substitute_pins_variables():
-    rng = np.random.default_rng(22)
-    p = _random_poly(rng, 6, num_terms=12, max_degree=3)
-    sub = p.substitute({1: -1, 4: 1})
-    assert sub.num_vars == p.num_vars
-    for i in (1, 4):
-        assert all(i not in term for term in sub.terms)
-    for spins in all_spin_vectors(6):
-        if spins[1] == -1 and spins[4] == 1:
-            assert sub.evaluate(spins) == pytest.approx(p.evaluate(spins), abs=1e-12)
-
-
-def test_substitute_rejects_bad_input():
-    p = PuboPolynomial(3, [((0, 1), 1.0)])
-    with pytest.raises(ParameterError):
-        p.substitute({3: 1})
-    with pytest.raises(ParameterError):
-        p.substitute({0: 0})
-
-
 def test_restrict_renumbers_free_variables():
     rng = np.random.default_rng(23)
     p = _random_poly(rng, 6, num_terms=12, max_degree=3)
@@ -97,7 +77,6 @@ def test_restrict_renumbers_free_variables():
     for spins in all_spin_vectors(4):
         full = np.array([spins[0], -1, spins[1], spins[2], 1, spins[3]])
         assert r.evaluate(spins) == pytest.approx(p.evaluate(full), abs=1e-12)
-    assert r.reindex({0: 0, 1: 2, 2: 3, 3: 5}, 6) == p.substitute(fixed)
     q = PuboPolynomial(4, [((0, 2), 2.0), ((1, 3), -1.0), ((2,), 0.5), ((0,), 3.0)])
     assert q.restrict({0: -1, 3: 1}).terms == {(): -3.0, (1,): -1.5, (0,): -1.0}
 

@@ -169,6 +169,13 @@ def test_optimize_respects_budget_and_traces():
     assert result.ratio is None
 
 
+def test_optimize_ratio_undefined_at_zero_minimum():
+    poly = maxcut_to_qubo(random_regular(6, 3, seed=71))
+    for p in (0, 1):
+        result = optimize(poly, p=p, budget=8, starts=2, seed=0, e_min=0.0)
+        assert result.ratio is None
+
+
 def test_optimize_deterministic():
     g = random_regular(8, 3, seed=70)
     poly = maxcut_to_qubo(g)

@@ -210,6 +210,17 @@ def test_pipeline_step_error_names_stage():
     assert isinstance(info.value.cause, ResourceLimitError)
 
 
+def test_pipeline_qaoa_comparison_fails_as_its_own_step():
+    # the reduced instance (B = 7) fits brute_cap but the original does not,
+    # so the four stages finish and the comparison refuses the original
+    g = random_regular(12, 3, seed=1)
+    cfg = PipelineConfig(seed=1, backend="qaoa", brute_cap=11, qaoa_budget=8, qaoa_starts=2)
+    with pytest.raises(PipelineStepError) as info:
+        classical_pipeline(g, cfg)
+    assert info.value.step == "qaoa"
+    assert isinstance(info.value.cause, ResourceLimitError)
+
+
 def test_pipeline_wcnf_backend_falls_back_to_oracle():
     g = random_regular(12, 3, seed=3)
     cfg = PipelineConfig(
@@ -229,20 +240,43 @@ def test_pipeline_wcnf_backend_falls_back_to_oracle():
     assert info.value.step == "solve"
 
 
-def test_pipeline_qaoa_backend_reports_three_ratios():
+def test_pipeline_qaoa_backend_reports_three_ratios(monkeypatch):
     g = random_regular(12, 3, seed=4)
-    cfg = PipelineConfig(
-        mode="exact", backend="qaoa", seed=4,
-        qaoa_depth=1, qaoa_budget=30, qaoa_starts=2,
-    )
-    report = classical_pipeline(g, cfg)
-    assert report.qaoa is not None
-    for tag in ("original", "reduced_exact", "reduced_core_fixed"):
-        ratio = report.qaoa[f"ratio_{tag}"]
-        assert 0.0 < ratio <= 1.0
-        assert report.qaoa[f"evals_{tag}"] <= 30
-    # the reduced instance itself is still solved exactly for lifting
-    assert report.lifted_energy == report.e_min_original
+    sizes = []
+    brute = solvers.brute_force_min
+
+    def counting(poly, *args, **kwargs):
+        sizes.append(poly.num_vars)
+        return brute(poly, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "brute_force_min", counting)
+    timing = {"t_detect", "t_quench", "t_assemble", "t_solve", "total_time"}
+    for mode in ("exact", "core-fixed"):
+        cfg = PipelineConfig(
+            mode=mode, backend="qaoa", seed=4,
+            qaoa_depth=1, qaoa_budget=30, qaoa_starts=2,
+        )
+        sizes.clear()
+        report = classical_pipeline(g, cfg)
+        # at B < n only the original polynomial has n variables; the
+        # comparison reuses e_min_original instead of solving it again
+        assert report.boundary_size < g.num_vertices
+        assert sizes.count(g.num_vertices) == 1
+        assert report.qaoa is not None
+        assert report.qaoa["seconds"] > 0
+        for tag in ("original", "reduced_exact", "reduced_core_fixed"):
+            ratio = report.qaoa[f"ratio_{tag}"]
+            assert 0.0 < ratio <= 1.0
+            assert report.qaoa[f"evals_{tag}"] <= 30
+        # the reduced instance itself is still solved exactly for lifting
+        oracle = classical_pipeline(g, PipelineConfig(mode=mode, seed=4))
+        skip = timing | {"backend", "qaoa"}
+        got = {k: v for k, v in report.to_json_dict().items() if k not in skip}
+        want = {k: v for k, v in oracle.to_json_dict().items() if k not in skip}
+        assert got == want
+        assert oracle.qaoa is None
+        if mode == "exact":
+            assert report.lifted_energy == report.e_min_original
 
 
 def test_pipeline_deterministic():
