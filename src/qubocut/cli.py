@@ -258,7 +258,7 @@ def cmd_qaoa(args) -> int:
     else:
         raise ParameterError("give --input POLY.json or --graph FILE")
     e_min = None
-    if poly.num_vars <= args.brute_cap:
+    if poly.num_vars <= min(args.brute_cap, args.qaoa_cap):
         e_min, _ = brute_force_min(poly, args.brute_cap)
     result = optimize(
         poly,
@@ -323,6 +323,8 @@ def _bench_one(task) -> str:
 def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.n_list.split(",") if tok]
     modes = args.modes.split(",")
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     for mode in modes:
         if mode not in MODES:
             raise ParameterError(f"unknown mode {mode!r} in --modes")

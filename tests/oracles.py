@@ -106,6 +106,26 @@ def naive_wht(values):
     return out
 
 
+def fwht_radix2(values):
+    """Radix-2 butterfly Walsh transform, one index bit per pass.
+
+    Each pass replaces every pair (a, b) that differs in one bit by
+    (a + b, a - b); complex input stays complex.
+    """
+    a = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+    d = a.size
+    h = 1
+    while h < d:
+        a = a.reshape(d // (2 * h), 2, h)
+        top = a[:, 0, :] + a[:, 1, :]
+        bottom = a[:, 0, :] - a[:, 1, :]
+        a[:, 0, :] = top
+        a[:, 1, :] = bottom
+        a = a.reshape(d)
+        h *= 2
+    return a
+
+
 def sign_matrix(d):
     """S[m, t] = (-1)^popcount(m & t) as a dense float matrix.
 
@@ -172,7 +192,7 @@ def dense_qaoa_state(energies, gammas, betas):
 
     Cost layer multiplies amplitude m by exp(-i gamma E[m]); the mixer is
     the literal matrix product of exp(-i beta X_q) over every qubit.
-    Intended for n <= 3 where the 2^n x 2^n matrices stay tiny.
+    Each factor is a dense 2^n x 2^n matrix, so keep n to about 7.
     """
     energies = np.asarray(energies, dtype=np.float64)
     d = energies.size

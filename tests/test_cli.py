@@ -354,6 +354,17 @@ def test_bench_stdout_and_bad_mode(capsys):
     assert "unknown mode" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_jobs_below_one_is_an_error(jobs, capsys):
+    rc, stdout, stderr = run_cli(
+        capsys, "bench", "--kind", "regular", "--k", "3", "--n-list", "8",
+        "--count", "1", "--jobs", jobs,
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "--jobs" in stderr
+
+
 def test_bench_missing_degree_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "bench", "--kind", "regular", "--n-list", "8")
     assert rc == 2
@@ -403,9 +414,15 @@ def test_unread_flags_are_refused(argv, capsys):
     ],
     ids=["reduce", "solve", "qaoa"],
 )
-def test_cap_flags_are_read(argv, message, tmp_path, capsys):
+def test_cap_flags_are_read(argv, message, tmp_path, capsys, monkeypatch):
     path = tmp_path / "g8.txt"
     write_graph(random_regular(8, 3, seed=1), path)
+    if argv[0] == "qaoa":
+        # The statevector cap refuses before any brute force runs.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("brute_force_min called past the statevector cap")
+
+        monkeypatch.setattr("qubocut.cli.brute_force_min", forbidden)
     rc, _, stderr = run_cli(capsys, *argv, "--graph", str(path))
     assert rc == 2
     assert stderr.startswith("error:") and message in stderr

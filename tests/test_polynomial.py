@@ -6,7 +6,7 @@ import pytest
 from qubocut import PuboPolynomial, energy_table, index_to_spins
 from qubocut.errors import DimensionError, ParameterError
 
-from oracles import all_spin_vectors, eval_terms_naive
+from oracles import all_spin_vectors, eval_terms_int, eval_terms_naive
 
 
 def _random_poly(rng, n, num_terms, max_degree):
@@ -181,6 +181,16 @@ def test_energy_table_matches_pointwise_evaluation():
             assert table[mask] == pytest.approx(
                 eval_terms_naive(p.terms, spins), abs=1e-10
             )
+
+
+@pytest.mark.parametrize("n", [7, 13])
+def test_energy_table_is_exact_for_integer_coefficients(n):
+    # Integer sums are exact in any order, so the blocked WHT must be too.
+    rng = np.random.default_rng(25 + n)
+    p = _random_poly(rng, n, num_terms=40, max_degree=4)
+    table = energy_table(p)
+    for mask, spins in enumerate(all_spin_vectors(n)):
+        assert table[mask] == eval_terms_int(p.terms, spins)
 
 
 def test_energy_table_constant_only():

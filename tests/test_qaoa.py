@@ -95,7 +95,7 @@ def test_run_circuit_single_qubit_trivial_energies():
 
 def test_run_circuit_matches_dense_oracle():
     rng = np.random.default_rng(64)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 7):  # n = 7 is the first size the WHT does in two passes
         energies = rng.standard_normal(1 << n)
         for p in (1, 2, 3):
             gammas = rng.uniform(0, 2 * np.pi, size=p)

@@ -6,7 +6,7 @@ import pytest
 from qubocut import fwht
 from qubocut.errors import DimensionError
 
-from oracles import naive_wht, sign_matrix
+from oracles import fwht_radix2, naive_wht, sign_matrix
 
 
 def test_single_element():
@@ -62,10 +62,27 @@ def test_linearity():
 
 
 def test_input_not_mutated():
-    v = np.arange(8, dtype=np.float64)
-    copy = v.copy()
-    fwht(v)
-    np.testing.assert_array_equal(v, copy)
+    for d in (8, 1 << 13):
+        for v in (np.arange(d, dtype=np.float64), np.arange(d) * (1 - 0.5j)):
+            copy = v.copy()
+            fwht(v)
+            np.testing.assert_array_equal(v, copy)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_matches_radix2_loop(n):
+    # 2^0..2^16 takes zero to three passes, full and partial, real and complex.
+    rng = np.random.default_rng(100 + n)
+    d = 1 << n
+    real = rng.integers(-64, 65, d) / 8.0
+    cplx = real + 1j * rng.integers(-64, 65, d) / 16.0
+    for dyadic in (real, cplx):
+        out = fwht(dyadic)
+        assert out.dtype == dyadic.dtype
+        assert np.array_equal(out, fwht_radix2(dyadic))
+    for v in (rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+        ref = fwht_radix2(v)
+        assert np.abs(fwht(v) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_rejects_bad_lengths():
