@@ -19,9 +19,12 @@ import numpy as np
 
 from .bitops import as_spins, term_to_index
 from .errors import DimensionError, ParameterError
-from .wht import fwht
+from .wht import _fwht_rows
 
-__all__ = ["PuboPolynomial", "energy_table"]
+__all__ = ["PuboPolynomial", "energy_table", "energy_blocks"]
+
+_BLOCK_ROWS = 64  # leading masks per block of energy_blocks
+_PRODUCT_CAP = 64**3  # OpenBLAS runs a product on one thread up to this size
 
 
 def _canonical_term(term, num_vars: int) -> tuple[int, ...]:
@@ -166,10 +169,60 @@ def energy_table(poly: PuboPolynomial) -> np.ndarray:
     """Energies of all ``2**num_vars`` assignments, indexed by bitmask.
 
     Scatters each coefficient to its transform index and applies one fast
-    Walsh-Hadamard transform, O(2**n * n) total.
+    Walsh-Hadamard transform in that buffer, O(2**n * n) total, with two
+    ``2**n`` vectors alive at the peak.
     """
     n = poly.num_vars
     coeffs = np.zeros(1 << n, dtype=np.float64)
     for term, coeff in poly.terms.items():
         coeffs[term_to_index(term, n)] += coeff
-    return fwht(coeffs)
+    return _fwht_rows(coeffs)
+
+
+def energy_blocks(poly: PuboPolynomial, high: int):
+    """Energies of ``poly`` for ascending blocks of its leading assignments.
+
+    Yields ``(first, energies)``: row ``r`` of ``energies`` holds, indexed by
+    the mask of the trailing ``n - high`` variables, the energies under the
+    leading-variable mask ``first + r``.  The array is reused, so read it
+    before advancing.  Terms are grouped by their leading part ``T``; each
+    group's trailing polynomial becomes one row of a table ``F``, and a block
+    is ``X @ F`` with ``X[r, g] = (-1)**popcount((first + r) & T_g)``, in
+    products of at most ``64**3`` multiply-adds.
+    """
+    if not 0 <= high <= poly.num_vars:
+        raise ParameterError(f"high must be in [0, {poly.num_vars}], got {high}")
+    low = poly.num_vars - high
+    rows = {0: 0}  # leading mask -> row of F; the empty part keeps F nonempty
+    coeffs = []
+    for term, coeff in poly.terms.items():
+        mask = term_to_index(term, poly.num_vars)
+        coeffs.append((rows.setdefault(mask >> low, len(rows)), mask & ((1 << low) - 1), coeff))
+    table = np.zeros((len(rows), 1 << low))
+    for row, column, coeff in coeffs:
+        table[row, column] = coeff
+    table = _fwht_rows(table)
+    k, width = table.shape
+    # P leading masks per block, products of P x k by k x w
+    p = min(_BLOCK_ROWS, 1 << high)
+    while p > 1 and p * k > _PRODUCT_CAP:
+        p //= 2
+    w = width
+    while w > 1 and p * k * w > _PRODUCT_CAP:
+        w //= 2
+    parts = np.fromiter(rows, dtype=np.uint64, count=k)
+    # first + r has no carry for r < P, so its signs are first's times r's
+    within = _character_signs(np.arange(p, dtype=np.uint64), parts)
+    stacked = table.reshape(k, width // w, w).transpose(1, 0, 2)
+    signs = np.empty((p, k))
+    energies = np.empty((p, width))
+    out = energies.reshape(p, width // w, w).transpose(1, 0, 2)
+    for first in range(0, 1 << high, p):
+        np.multiply(within, _character_signs(np.uint64(first), parts), out=signs)
+        np.matmul(signs, stacked, out=out)
+        yield first, energies
+
+
+def _character_signs(masks, parts: np.ndarray) -> np.ndarray:
+    """``(-1)**popcount(mask & part)`` over the outer product, as float64."""
+    return 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(masks, parts)) & 1)

@@ -241,8 +241,12 @@ def table_to_polynomial(table) -> PuboPolynomial:
     """
     energies = np.asarray(getattr(table, "energies", table), dtype=np.float64)
     m = energies.size.bit_length() - 1
+    scale = np.abs(energies).max()
+    if scale == 0.0:
+        # a zero threshold would keep, and decode, all 2**M zero coefficients
+        return PuboPolynomial(m)
     coeffs = fwht(energies) / energies.size
-    threshold = WHT_PRUNE_EPS * np.abs(energies).max()
+    threshold = WHT_PRUNE_EPS * scale
     kept = np.flatnonzero(np.abs(coeffs) >= threshold)
     terms = [(index_to_term(int(t), m), float(coeffs[t])) for t in kept]
     return PuboPolynomial(m, terms)

@@ -11,7 +11,7 @@ from .bitops import index_to_spins
 from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ExternalSolverError, ParameterError, PipelineStepError, ResourceLimitError
 from .graphs import Graph, maxcut_to_qubo
-from .polynomial import PuboPolynomial, energy_table
+from .polynomial import PuboPolynomial, energy_blocks, energy_table
 from .qaoa import DEFAULT_QAOA_CAP, optimize
 # ``quench`` stays importable as ``solvers.quench`` for the benchmark's tracer
 from .reducer import (  # noqa: F401
@@ -38,7 +38,11 @@ __all__ = [
 
 DEFAULT_BRUTE_CAP = 30
 BACKENDS = ("oracle", "wcnf", "qaoa")
-_FULL_TABLE_LIMIT = 22
+# Trailing variables per table in brute_force_min, and the size up to which
+# it builds one energy table: on a 2-core x86-64 VM a product over one
+# leading variable lost to the table at n = 12 and tied at n = 13, and
+# limits 10 to 12 timed alike from n = 14 up.
+_FULL_TABLE_LIMIT = 12
 
 
 def brute_force_min(
@@ -46,26 +50,29 @@ def brute_force_min(
 ) -> tuple[float, np.ndarray]:
     """Exact minimum energy and its lowest-bitmask witness.
 
-    The leading ``max(0, n - 22)`` variables are pinned to each of their
-    assignments in ascending mask order; the rest form one Walsh-Hadamard
-    energy table of at most ``2**22`` entries per assignment, so memory stays
-    bounded up to ``cap`` variables.  A later block replaces the best only
-    when strictly lower, so ties go to the lowest mask.
+    Up to ``_FULL_TABLE_LIMIT`` variables this is one Walsh-Hadamard energy
+    table and its argmin.  Above, the trailing ``_FULL_TABLE_LIMIT``
+    variables stay in tables, one per distinct part of a term over the
+    leading variables, and the energies of consecutive blocks of leading
+    assignments come from products of character signs with those tables
+    (:func:`energy_blocks`), so no table of ``2**n`` entries is built.  A
+    later block replaces the best only when strictly lower, so ties go to
+    the lowest mask.  With dyadic weights every sum is exact; otherwise the
+    energy may differ from the summed terms in the last bits.
     """
     n = poly.num_vars
     if n > cap:
         raise ResourceLimitError(f"{n} variables exceed the brute-force cap {cap}")
-    lead = max(0, n - _FULL_TABLE_LIMIT)
+    if n <= _FULL_TABLE_LIMIT:
+        energies = energy_table(poly)
+        best_mask = int(np.argmin(energies))
+        return float(energies[best_mask]), index_to_spins(best_mask, n)
     best_energy, best_mask = np.inf, 0
-    for prefix in range(1 << lead):
-        block = poly
-        if lead:
-            block = poly.restrict(dict(enumerate(index_to_spins(prefix, lead).tolist())))
-        energies = energy_table(block)
+    for first, energies in energy_blocks(poly, n - _FULL_TABLE_LIMIT):
         local = int(np.argmin(energies))
-        if prefix == 0 or energies[local] < best_energy:
-            best_energy = float(energies[local])
-            best_mask = (prefix << (n - lead)) | local
+        if first == 0 or energies.flat[local] < best_energy:
+            best_energy = float(energies.flat[local])
+            best_mask = (first << _FULL_TABLE_LIMIT) + local
     return best_energy, index_to_spins(best_mask, n)
 
 

@@ -14,9 +14,11 @@ bits, each a product with the ``64 x 64`` Sylvester Hadamard matrix
 product is capped at ``64 x 64`` by ``64 x 64``: OpenBLAS runs a product on
 one thread only while ``m * n * k <= 64**3``, and the threaded larger
 products measured slower than capped ones on a 2-core machine, idle or busy.
-Passes alternate between the input copy and one scratch buffer.  Complex
-input is transformed as interleaved float64 with the real/imaginary bit
-left untransformed, so both dtypes share one real path.
+Passes alternate between the input copy and one scratch buffer; the
+private ``_fwht_rows`` skips the copy and transforms the rows of a buffer
+the caller owns.  Complex input is transformed as interleaved float64 with
+the real/imaginary bit left untransformed, so both dtypes share one real
+path.
 """
 
 from __future__ import annotations
@@ -57,19 +59,29 @@ def fwht(values) -> np.ndarray:
     d = a.size
     if d == 0 or d & (d - 1):
         raise DimensionError(f"length must be a power of two, got {d}")
-    if d == 1:
+    return _fwht_rows(a)
+
+
+def _fwht_rows(a: np.ndarray) -> np.ndarray:
+    """Transform each row (last axis) of C-contiguous ``a``, overwriting ``a``.
+
+    ``a`` is float64 or complex128 and its rows have a power-of-two length.
+    The result is ``a`` itself or one scratch array of its shape, whichever
+    the last pass wrote, so the caller must use the returned array.
+    """
+    if a.shape[-1] == 1:
         return a
-    src, dst = a.view(np.float64), np.empty_like(a).view(np.float64)
-    bits = src.size.bit_length() - 1
+    out = np.empty_like(a)
+    src, dst = a.view(np.float64), out.view(np.float64)
+    keep = int(a.dtype.kind == "c")
+    bits = src.shape[-1].bit_length() - 1
     for lo in range(0, bits, _BLOCK_BITS):
         hi = min(lo + _BLOCK_BITS, bits)
         if lo == 0:
             # Rows of 2**hi entries times the matrix, 64 rows per product.
             # The real/imaginary bit of complex input stays as it is.
-            shape = (-1, min(_BLOCK, src.size >> hi), 1 << hi)
-            np.matmul(
-                src.reshape(shape), _sylvester(hi, int(is_complex)), out=dst.reshape(shape)
-            )
+            shape = (-1, min(_BLOCK, src.shape[-1] >> hi), 1 << hi)
+            np.matmul(src.reshape(shape), _sylvester(hi, keep), out=dst.reshape(shape))
         else:
             # The matrix times (2**(hi-lo), 64) column blocks of each slab.
             shape = (-1, 1 << (hi - lo), 1 << (lo - _BLOCK_BITS), _BLOCK)
@@ -79,4 +91,5 @@ def fwht(values) -> np.ndarray:
                 out=dst.reshape(shape).transpose(0, 2, 1, 3),
             )
         src, dst = dst, src
-    return src.base  # the array of the input's dtype behind the float64 view
+        a, out = out, a
+    return a

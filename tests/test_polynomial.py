@@ -1,10 +1,13 @@
 """PuboPolynomial canonicalization, algebra, and the energy table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qubocut import PuboPolynomial, energy_table, index_to_spins
+from qubocut import PuboPolynomial, energy_table, index_to_spins, maxcut_to_qubo, random_regular
 from qubocut.errors import DimensionError, ParameterError
+from qubocut.polynomial import energy_blocks
 
 from oracles import all_spin_vectors, eval_terms_int, eval_terms_naive
 
@@ -196,3 +199,34 @@ def test_energy_table_is_exact_for_integer_coefficients(n):
 def test_energy_table_constant_only():
     p = PuboPolynomial(3, [((), -2.5)])
     np.testing.assert_allclose(energy_table(p), np.full(8, -2.5))
+
+
+def test_energy_table_holds_two_vectors():
+    # the coefficient buffer is transformed where it lies: 2 x 32 MB at n = 22
+    poly = maxcut_to_qubo(random_regular(22, 3, seed=1))
+    tracemalloc.start()
+    try:
+        energy_table(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72e6
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
+def test_energy_blocks_tile_the_energy_table(n):
+    rng = np.random.default_rng(26 + n)
+    p = _random_poly(rng, n, num_terms=30, max_degree=min(5, n))
+    table = energy_table(p).reshape(-1)
+    for high in range(n + 1):
+        blocks = [(first, energies.copy()) for first, energies in energy_blocks(p, high)]
+        starts = [first for first, _ in blocks]
+        assert starts == sorted(starts) and starts[0] == 0
+        # integer sums are exact, so the blocks equal the table bit for bit
+        np.testing.assert_array_equal(np.concatenate([e.ravel() for _, e in blocks]), table)
+
+
+def test_energy_blocks_rejects_bad_split():
+    for high in (-1, 4):
+        with pytest.raises(ParameterError):
+            next(energy_blocks(PuboPolynomial(3), high))

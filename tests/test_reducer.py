@@ -1,5 +1,7 @@
 """Energy splitting, quenching, table interpolation, reduction, lifting."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,13 @@ def test_table_to_polynomial_two_point():
 def test_table_to_polynomial_constant():
     poly = table_to_polynomial(np.full(8, 2.5))
     assert poly.terms == {(): 2.5}
+
+
+def test_table_to_polynomial_all_zero_table_is_empty():
+    start = time.perf_counter()
+    poly = table_to_polynomial(np.zeros(1 << 16))
+    assert time.perf_counter() - start < 0.1
+    assert poly == PuboPolynomial(16)
 
 
 def test_table_to_polynomial_reconstructs_random_table():

@@ -1,7 +1,12 @@
 """Brute-force oracle and the four-step classical pipeline."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubocut import (
     CSV_HEADER,
@@ -13,6 +18,7 @@ from qubocut import (
     detect_multilevel,
     lift_solution,
     maxcut_to_qubo,
+    polynomial,
     random_regular,
     reduce_core_fixed,
     reduce_exact,
@@ -70,9 +76,8 @@ def test_maxcut_minimum_is_doubly_degenerate():
 
 
 def test_large_instance_chunked_path_embedding():
-    # 12-variable problems embedded in 23 and 25 variables cross into the
-    # blocked path, which pins the leading variables block by block; unused
-    # variables resolve to +1 by mask order
+    # 12-variable problems embedded in 23 and 25 variables take the blocked
+    # path; unused variables resolve to +1 by mask order
     g = random_regular(12, 3, seed=53)
     unit = maxcut_to_qubo(g)
     rng = np.random.default_rng(53)
@@ -93,6 +98,68 @@ def test_large_instance_chunked_path_embedding():
             np.testing.assert_array_equal(s_big[:12], s_small)
             np.testing.assert_array_equal(s_big[12:], np.ones(n - 12, dtype=np.int8))
     assert s_small[0] == -1
+
+
+@st.composite
+def _polynomials(draw):
+    """Empty, constant-only, unit MaxCut or dyadic PUBOs of 0 to 10 variables.
+
+    Unit MaxCut minima come in mirror pairs, so the lowest mask must win a
+    tie; the dyadic kind has linear fields and terms of degree up to 5, as
+    reduced instances do, and every sum of its energies is exact.
+    """
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["empty", "constant", "maxcut", "dyadic"]))
+    dyadic = st.integers(-32, 32).map(lambda k: k / 8)
+    if kind == "empty":
+        return PuboPolynomial(n)
+    if kind == "constant":
+        return PuboPolynomial(n, [((), draw(dyadic))])
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "maxcut":
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return maxcut_to_qubo(Graph(n, edges))
+    term = st.lists(st.integers(0, n - 1), min_size=1, max_size=5) if n else st.just([])
+    terms = draw(st.lists(st.tuples(term, dyadic), max_size=24))
+    fields = [((i,), draw(dyadic)) for i in range(n)]
+    return PuboPolynomial(n, terms + fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=_polynomials(), rows=st.sampled_from([1, 4, 64]))
+def test_blocked_minimum_matches_enumeration(poly, rows):
+    # three trailing variables per table and few leading masks per product
+    # put block boundaries everywhere the minimum could lie
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_FULL_TABLE_LIMIT", 3)
+        mp.setattr(polynomial, "_BLOCK_ROWS", rows)
+        energy, spins = brute_force_min(poly)
+    e_oracle, s_oracle = enumerate_min(poly)
+    assert energy == e_oracle
+    np.testing.assert_array_equal(spins, s_oracle)
+
+
+def test_blocked_minimum_stays_small(monkeypatch):
+    # no 2**22 table: the whole call stays under 8 MB, and no product is
+    # large enough for OpenBLAS to start its threads
+    poly = maxcut_to_qubo(random_regular(22, 3, seed=1))
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    tracemalloc.start()
+    try:
+        energy, spins = brute_force_min(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert products and max(products) <= 64**3
+    assert poly.evaluate(spins) == energy
 
 
 def test_large_instance_unique_linear_minimum():
