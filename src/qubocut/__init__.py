@@ -30,7 +30,6 @@ from .errors import (
     PipelineStepError,
     ResourceLimitError,
     SolverIntegrityError,
-    UnsupportedDegreeError,
 )
 from .graphs import (
     Graph,

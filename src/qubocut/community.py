@@ -56,14 +56,8 @@ class CommunityAssignment:
             )
         if member.size and member.min() < 0:
             raise ParameterError("community ids must be nonnegative")
-        relabel: dict[int, int] = {}
-        for v in range(member.size):
-            c = int(member[v])
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            member[v] = relabel[c]
-        ext = _external_degree(g, member)
-        return cls(member, len(relabel), ext > 0)
+        k = _relabel_by_first_appearance(member)
+        return cls(member, k, _external_degree(g, member) > 0)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.membership, minlength=self.num_communities)
@@ -79,6 +73,14 @@ class CommunityAssignment:
 
     def global_boundary(self) -> np.ndarray:
         return np.flatnonzero(self.boundary)
+
+
+def _relabel_by_first_appearance(member: np.ndarray) -> int:
+    """Renumber ids in place to ``0, 1, ...`` by first appearance; return the count."""
+    relabel: dict[int, int] = {}
+    for v in range(member.size):
+        member[v] = relabel.setdefault(int(member[v]), len(relabel))
+    return len(relabel)
 
 
 def _external_degree(g: Graph, membership: np.ndarray) -> np.ndarray:
@@ -179,13 +181,7 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
         level_member = np.arange(level_n, dtype=np.int64)
         if not _local_moves(level_n, adj, strength, m2, level_member, rng):
             break
-        relabel: dict[int, int] = {}
-        for v in range(level_n):
-            c = int(level_member[v])
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            level_member[v] = relabel[c]
-        k = len(relabel)
+        k = _relabel_by_first_appearance(level_member)
         global_member = level_member[global_member]
         if k == level_n:
             break

@@ -9,10 +9,6 @@ class ParameterError(ValueError):
     """A scalar argument is outside its documented domain."""
 
 
-class UnsupportedDegreeError(ValueError):
-    """A polynomial exceeds the degree an operation can handle."""
-
-
 class ResourceLimitError(RuntimeError):
     """An exact enumeration would exceed the configured variable cap."""
 

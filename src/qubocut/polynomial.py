@@ -8,17 +8,19 @@ indices to float coefficients,
 with the empty tuple holding the constant term.  Construction canonicalizes:
 repeated indices inside a term cancel in pairs (s_i**2 == 1), terms are keyed
 by strictly increasing index tuples, and exact-zero coefficients are dropped.
+A NaN or infinite coefficient is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .bitops import as_spins, term_to_index
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .wht import _fwht_rows
 
 __all__ = ["PuboPolynomial", "energy_table", "energy_blocks"]
@@ -53,8 +55,11 @@ class PuboPolynomial:
         canonical: dict[tuple[int, ...], float] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for term, coeff in items:
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ParameterError(f"coefficient of term {term} is {coeff}")
             key = _canonical_term(term, num_vars)
-            value = canonical.get(key, 0.0) + float(coeff)
+            value = canonical.get(key, 0.0) + coeff
             if value == 0.0:
                 canonical.pop(key, None)
             else:
@@ -104,27 +109,6 @@ class PuboPolynomial:
                     kept.append(j)
             out.append((tuple(kept), coeff * sign))
         return PuboPolynomial(len(renumber), out)
-
-    def reindex(self, mapping: Mapping[int, int], num_vars: int) -> "PuboPolynomial":
-        """Rename variables through ``mapping``; every used variable must map."""
-        out = []
-        for term, coeff in self.terms.items():
-            try:
-                new_term = tuple(mapping[i] for i in term)
-            except KeyError as exc:
-                raise ParameterError(f"no mapping for variable {exc.args[0]}") from None
-            out.append((new_term, coeff))
-        return PuboPolynomial(num_vars, out)
-
-    def __add__(self, other: "PuboPolynomial") -> "PuboPolynomial":
-        if not isinstance(other, PuboPolynomial):
-            return NotImplemented
-        if other.num_vars != self.num_vars:
-            raise DimensionError(
-                f"cannot add polynomials over {self.num_vars} and {other.num_vars} variables"
-            )
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return PuboPolynomial(self.num_vars, merged)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,19 +1,20 @@
-"""Reduction of a community-partitioned QUBO to a boundary PUBO.
+"""Reduction of a community-partitioned PUBO to a boundary PUBO.
 
-Given a degree-2 spin polynomial and a community assignment, the energy
+Given a spin polynomial of any degree and a community assignment, the energy
 splits as
 
     E(s) = sum_c E_c(boundary_c, core_c) + E_across(boundary),
 
-with every cross-community edge landing in ``E_across`` and every
-intra-community term in its community's ``E_c``.  Quenching a community
-minimizes ``E_c`` over its core spins for each of the ``2**|B_c|`` boundary
-assignments; the resulting table is exactly representable as a polynomial
-over the community's boundary spins via a Walsh-Hadamard transform.  Summing
-those polynomials with ``E_across`` yields a reduced instance over the global
-boundary whose minimum equals the original minimum (exact mode) or upper
-bounds it (core-fixed mode, which instead freezes each community's core at
-one unconstrained optimum and keeps the reduced degree at 2).
+with every term inside one community landing in its ``E_c`` and every term
+that spans communities, whose variables must all be boundary variables, in
+``E_across``.  Quenching a community minimizes ``E_c`` over its core spins
+for each of the ``2**|B_c|`` boundary assignments; the resulting table is
+exactly representable as a polynomial over the community's boundary spins
+via a Walsh-Hadamard transform.  Summing those polynomials with
+``E_across`` yields a reduced instance over the global boundary whose
+minimum equals the original minimum (exact mode) or upper bounds it
+(core-fixed mode, which instead freezes each community's core at one
+unconstrained optimum and keeps the reduced degree at most the input's).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bitops import index_to_spins, index_to_term, spins_to_index
 from .community import CommunityAssignment
-from .errors import ParameterError, ResourceLimitError, UnsupportedDegreeError
+from .errors import ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial
 from .wht import fwht
 
@@ -131,6 +132,16 @@ class ReducedInstance:
             raise ParameterError(f"malformed reduced-instance JSON: {exc}") from exc
         if mode not in MODES:
             raise ParameterError(f"unknown mode {mode!r}")
+        if len(set(var_map)) != len(var_map) or not all(
+            0 <= v < num_original for v in var_map
+        ):
+            raise ParameterError(
+                f"var_map entries must be distinct and in [0, {num_original})"
+            )
+        if len(var_map) != poly.num_vars:
+            raise ParameterError(
+                f"var_map has {len(var_map)} entries for {poly.num_vars} variables"
+            )
         return cls(poly, var_map, num_original, mode)
 
     def save(self, path) -> None:
@@ -147,21 +158,20 @@ class ReducedInstance:
 def split_energy(
     poly: PuboPolynomial, assignment: CommunityAssignment
 ) -> tuple[list[CommunitySubinstance], PuboPolynomial]:
-    """Split a degree-<=2 polynomial into per-community and across parts.
+    """Split a polynomial into per-community and across parts.
 
-    Returns one subinstance per community (local variables, boundary first)
-    and the across polynomial over original global indices, whose support is
-    a subset of the global boundary plus the constant.
+    A term whose variables all lie in one community goes to that community's
+    subinstance in local variables (boundary first).  Every other term, the
+    constant included, goes to the across polynomial over original global
+    indices, and each of its variables must be a boundary variable.  Terms
+    keep their degree, so no part has a higher degree than ``poly``.
     """
-    if poly.degree() > 2:
-        raise UnsupportedDegreeError(
-            f"energy splitting requires degree <= 2, got degree {poly.degree()}"
-        )
-    member = assignment.membership
-    if member.size != poly.num_vars:
+    member = assignment.membership.tolist()
+    if len(member) != poly.num_vars:
         raise ParameterError(
-            f"assignment covers {member.size} vertices, polynomial has {poly.num_vars}"
+            f"assignment covers {len(member)} vertices, polynomial has {poly.num_vars}"
         )
+    is_boundary = assignment.boundary.tolist()
     local_index: dict[int, int] = {}
     subs_vars: list[tuple[list[int], list[int]]] = []
     for c in range(assignment.num_communities):
@@ -176,18 +186,17 @@ def split_energy(
     ]
     across_terms: list[tuple[tuple[int, ...], float]] = []
     for term, coeff in poly.terms.items():
-        if len(term) == 0:
+        communities = {member[v] for v in term}
+        if len(communities) == 1:
+            intra_terms[communities.pop()].append(
+                (tuple(local_index[v] for v in term), coeff)
+            )
+        elif all(is_boundary[v] for v in term):
             across_terms.append((term, coeff))
-        elif len(term) == 1:
-            c = int(member[term[0]])
-            intra_terms[c].append(((local_index[term[0]],), coeff))
         else:
-            i, j = term
-            ci, cj = int(member[i]), int(member[j])
-            if ci == cj:
-                intra_terms[ci].append(((local_index[i], local_index[j]), coeff))
-            else:
-                across_terms.append((term, coeff))
+            raise ParameterError(
+                f"term {term} spans communities but has a core variable"
+            )
 
     subs = []
     for c, (boundary, core) in enumerate(subs_vars):
@@ -285,7 +294,9 @@ def assemble_reduced(
     """Stage 3: turn :func:`quench_communities` output into the reduced PUBO.
 
     Each community's table or frozen core becomes a polynomial over its
-    boundary spins, summed with the across part over the global boundary.
+    boundary spins.  Those polynomials and the across part are mapped to
+    reduced indices and summed in one construction, across terms first and
+    then the communities in order.
     """
     var_map = tuple(int(v) for v in assignment.global_boundary())
     to_reduced = {v: j for j, v in enumerate(var_map)}
@@ -296,12 +307,12 @@ def assemble_reduced(
             sub.intra.restrict(dict(enumerate(core.tolist(), sub.num_boundary)))
             for sub, core in zip(subs, solved)
         ]
-    total = across.reindex(to_reduced, len(var_map))
+    terms = [(tuple(to_reduced[v] for v in t), c) for t, c in across.terms.items()]
     for sub, bp in zip(subs, boundary_polys):
-        mapping = {j: to_reduced[v] for j, v in enumerate(sub.boundary_vars)}
-        total = total + bp.reindex(mapping, len(var_map))
+        reduced_of = [to_reduced[v] for v in sub.boundary_vars]
+        terms += [(tuple(reduced_of[j] for j in t), c) for t, c in bp.terms.items()]
     return ReducedInstance(
-        poly=total,
+        poly=PuboPolynomial(len(var_map), terms),
         var_map=var_map,
         num_original_vars=across.num_vars,
         mode=mode,
@@ -327,8 +338,8 @@ def reduce_core_fixed(
 
     Each community's full subinstance (boundary and core together) is solved
     once; the core spins of the lowest-bitmask optimum are substituted in.
-    The reduced polynomial keeps degree <= 2 and its minimum upper-bounds the
-    original one.
+    The reduced polynomial's degree is at most the input's and its minimum
+    upper-bounds the original one.
     """
     stage2 = quench_communities(poly, assignment, "core-fixed")
     return assemble_reduced(assignment, "core-fixed", *stage2)

@@ -238,6 +238,18 @@ def test_solve_with_external_solver(tmp_path, capsys):
     assert payload["energy"] == brute_force_min(poly, 24)[0]
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_solve_rejects_non_finite_coefficient(tmp_path, capsys, bad):
+    path = tmp_path / "poly.json"
+    path.write_text(
+        '{"num_vars": 2, "terms": [{"vars": [0, 1], "coeff": %s}]}' % bad
+    )
+    rc, stdout, stderr = run_cli(capsys, "solve", "--poly", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert "coefficient" in stderr
+
+
 def test_solve_without_inputs_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "solve")
     assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qubocut import PuboPolynomial, energy_table, index_to_spins, maxcut_to_qubo, random_regular
-from qubocut.errors import DimensionError, ParameterError
+from qubocut.errors import ParameterError
 from qubocut.polynomial import energy_blocks
 
 from oracles import all_spin_vectors, eval_terms_int, eval_terms_naive
@@ -107,40 +107,6 @@ def test_restrict_all_variables_gives_constant():
     assert p.restrict({}) == p
 
 
-def test_reindex_permutation():
-    p = PuboPolynomial(3, [((0, 1), 2.0), ((2,), -1.0)])
-    q = p.reindex({0: 2, 1: 0, 2: 1}, 3)
-    assert q.terms == {(1,): -1.0, (0, 2): 2.0}
-    # energies agree when spins are permuted the same way
-    for spins in all_spin_vectors(3):
-        permuted = np.empty(3, dtype=np.int8)
-        for old, new in {0: 2, 1: 0, 2: 1}.items():
-            permuted[new] = spins[old]
-        assert q.evaluate(permuted) == pytest.approx(p.evaluate(spins))
-
-
-def test_reindex_into_smaller_space():
-    p = PuboPolynomial(10, [((3, 7), 1.5), ((), 4.0)])
-    q = p.reindex({3: 0, 7: 1}, 2)
-    assert q.num_vars == 2
-    assert q.terms == {(): 4.0, (0, 1): 1.5}
-
-
-def test_reindex_requires_complete_mapping():
-    p = PuboPolynomial(3, [((0, 2), 1.0)])
-    with pytest.raises(ParameterError):
-        p.reindex({0: 0}, 2)
-
-
-def test_add_merges_coefficients():
-    a = PuboPolynomial(2, [((0,), 1.0), ((0, 1), 2.0)])
-    b = PuboPolynomial(2, [((0,), -1.0), ((1,), 3.0)])
-    c = a + b
-    assert c.terms == {(1,): 3.0, (0, 1): 2.0}
-    with pytest.raises(DimensionError):
-        a + PuboPolynomial(3)
-
-
 def test_equality():
     a = PuboPolynomial(2, [((0, 1), 1.0)])
     b = PuboPolynomial(2, {(1, 0): 1.0})
@@ -163,6 +129,16 @@ def test_from_json_rejects_malformed():
         PuboPolynomial.from_json_dict({"num_vars": 2})
     with pytest.raises(ParameterError):
         PuboPolynomial.from_json_dict({"num_vars": 2, "terms": [{"vars": [0]}]})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(ParameterError, match="coefficient"):
+        PuboPolynomial(2, [((0,), 1.0), ((0, 1), bad)])
+    with pytest.raises(ParameterError, match="coefficient"):
+        PuboPolynomial.from_json_dict(
+            {"num_vars": 2, "terms": [{"vars": [1], "coeff": bad}]}
+        )
 
 
 def test_out_of_range_variable_rejected():

@@ -1,5 +1,6 @@
 """Energy splitting, quenching, table interpolation, reduction, lifting."""
 
+import itertools
 import time
 
 import numpy as np
@@ -27,12 +28,7 @@ from qubocut import (
     split_energy,
     table_to_polynomial,
 )
-from qubocut.errors import (
-    DimensionError,
-    ParameterError,
-    ResourceLimitError,
-    UnsupportedDegreeError,
-)
+from qubocut.errors import DimensionError, ParameterError, ResourceLimitError
 
 from oracles import (
     all_spin_vectors,
@@ -96,11 +92,26 @@ def test_split_reassembles_to_original():
         assert total == pytest.approx(eval_terms_naive(poly.terms, spins), abs=1e-12)
 
 
-def test_split_rejects_cubic_terms():
-    ca = CommunityAssignment.from_membership(Graph(3, ((0, 1),)), [0, 0, 0])
-    cubic = PuboPolynomial(3, [((0, 1, 2), 1.0)])
-    with pytest.raises(UnsupportedDegreeError):
-        split_energy(cubic, ca)
+def test_split_cubic_term_inside_one_community_stays_intra():
+    # interaction graph of the terms; community 0 = {0, 1, 2}, boundary {1, 2}
+    g = Graph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+    poly = PuboPolynomial(4, [((0, 1, 2), 1.0), ((0,), 0.25), ((1, 2, 3), 0.5)])
+    ca = CommunityAssignment.from_membership(g, [0, 0, 0, 1])
+    subs, across = split_energy(poly, ca)
+    assert subs[0].boundary_vars == (1, 2)
+    assert subs[0].core_vars == (0,)
+    # locals run boundary first: 1 -> 0, 2 -> 1, 0 -> 2
+    assert subs[0].intra.terms == {(2,): 0.25, (0, 1, 2): 1.0}
+    assert subs[1].intra.terms == {}
+    assert across.terms == {(1, 2, 3): 0.5}
+
+
+def test_split_spanning_term_on_a_core_variable_is_rejected():
+    g = Graph(3, ((0, 1),))
+    ca = CommunityAssignment.from_membership(g, [0, 0, 1])
+    poly = PuboPolynomial(3, [((0, 1, 2), 1.0)])
+    with pytest.raises(ParameterError, match=r"\(0, 1, 2\)"):
+        split_energy(poly, ca)
 
 
 def test_quench_no_core_copies_intra():
@@ -359,6 +370,14 @@ def test_reduced_instance_round_trip(tmp_path):
         lift_solution(back, [1] * len(back.var_map))
 
 
+def test_reduced_instance_json_checks_var_map():
+    base = {"num_vars": 2, "terms": [], "num_original_vars": 3, "mode": "exact"}
+    assert ReducedInstance.from_json_dict({**base, "var_map": [2, 0]}).var_map == (2, 0)
+    for var_map in ([0], [0, 1, 2], [1, 1], [0, 3], [-1, 0]):
+        with pytest.raises(ParameterError, match="var_map"):
+            ReducedInstance.from_json_dict({**base, "var_map": var_map})
+
+
 def test_membership_must_cover_polynomial():
     g, poly = _k3()
     ca = CommunityAssignment.from_membership(Graph(2, ((0, 1),)), [0, 0])
@@ -402,3 +421,38 @@ def test_reduction_exact_at_every_weight_scale(exponent, data):
 
     e_fixed, _ = brute_force_min(reduce_core_fixed(poly, ca).poly)
     assert e_fixed >= e_orig - tol
+
+
+@st.composite
+def _dyadic_pubos_with_partitions(draw):
+    """A degree-<=4 dyadic PUBO over n <= 10 spins and a partition of its
+    interaction graph (an edge joins every two variables sharing a term)."""
+    n = draw(st.integers(1, 10))
+    scopes = st.lists(st.integers(0, n - 1), max_size=4, unique=True).map(tuple)
+    coeffs = st.integers(-8, 8).map(lambda k: k / 4)
+    poly = PuboPolynomial(n, draw(st.lists(st.tuples(scopes, coeffs), max_size=3 * n)))
+    pairs = {pair for term in poly.terms for pair in itertools.combinations(term, 2)}
+    g = Graph(n, tuple(sorted(pairs)))
+    if draw(st.booleans()):
+        ca = detect_multilevel(g, seed=draw(st.integers(0, 3)))
+    else:
+        membership = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        ca = CommunityAssignment.from_membership(g, membership)
+    return poly, ca
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_pubos_with_partitions())
+def test_reduction_of_higher_degree_pubos(case):
+    # dyadic coefficients keep every sum exact, so energies compare with ==
+    poly, ca = case
+    e_orig, _ = enumerate_min(poly)
+
+    ri = reduce_exact(poly, ca)
+    e_red, b_best = enumerate_min(ri.poly)
+    assert e_red == e_orig
+    assert poly.evaluate(lift_solution(ri, b_best)) == e_red
+
+    fixed = reduce_core_fixed(poly, ca)
+    assert fixed.poly.degree() <= poly.degree()
+    assert enumerate_min(fixed.poly)[0] >= e_orig
