@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "index_to_spins",
+    "masks_to_spins",
     "spins_to_index",
     "term_to_index",
     "index_to_term",
@@ -26,10 +27,15 @@ def index_to_spins(mask: int, n: int) -> np.ndarray:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not 0 <= mask < (1 << n):
         raise ValueError(f"mask {mask} out of range for {n} variables")
-    if n == 0:
-        return np.zeros(0, dtype=np.int8)
+    return masks_to_spins(mask, n)
+
+
+def masks_to_spins(masks, n: int) -> np.ndarray:
+    """Decode an array of in-range masks at once: int8 spins along a new
+    trailing axis of length ``n``, so ``masks_to_spins(np.arange(2**n), n)``
+    lists every assignment in mask order."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    bits = (np.uint64(mask) >> shifts) & np.uint64(1)
+    bits = (np.asarray(masks, dtype=np.uint64)[..., None] >> shifts) & np.uint64(1)
     return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 

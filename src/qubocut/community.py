@@ -75,22 +75,20 @@ class CommunityAssignment:
         return np.flatnonzero(self.boundary)
 
 
-def _relabel_by_first_appearance(member: np.ndarray) -> int:
+def _relabel_by_first_appearance(member) -> int:
     """Renumber ids in place to ``0, 1, ...`` by first appearance; return the count."""
     relabel: dict[int, int] = {}
-    for v in range(member.size):
+    for v in range(len(member)):
         member[v] = relabel.setdefault(int(member[v]), len(relabel))
     return len(relabel)
 
 
-def _external_degree(g: Graph, membership: np.ndarray) -> np.ndarray:
+def _external_degree(g: Graph, membership) -> np.ndarray:
     """Number of cross-community edges incident to each vertex."""
-    ext = np.zeros(g.num_vertices, dtype=np.int64)
-    for u, v in g.edges:
-        if membership[u] != membership[v]:
-            ext[u] += 1
-            ext[v] += 1
-    return ext
+    member = np.asarray(membership)
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    cut = edges[member[edges[:, 0]] != member[edges[:, 1]]]
+    return np.bincount(cut.ravel(), minlength=g.num_vertices)
 
 
 def score_g(assignment: CommunityAssignment) -> int:
@@ -119,27 +117,28 @@ def modularity(g: Graph, membership) -> float:
     return intra / m - sum((t / (2.0 * m)) ** 2 for t in tot.values())
 
 
-def _local_moves(n, adj, strength, m2, membership, rng) -> bool:
+def _local_moves(adj, strength, m2, membership, rng) -> bool:
     """One level of modularity local search; strict improvements only.
 
-    Vertices are scanned in a fresh seeded permutation each pass; a vertex
-    moves to the community with the largest positive modularity gain, ties
-    rejected (and ties between distinct winning targets broken toward the
-    lower community id by scan order).
+    ``membership`` is a list, updated in place.  Vertices are scanned in a
+    fresh seeded permutation each pass; a vertex moves to the community with
+    the largest positive modularity gain, ties rejected (and ties between
+    distinct winning targets broken toward the lower community id by scan
+    order).
     """
-    tot = np.zeros(n, dtype=np.float64)
+    n = len(membership)
+    tot = [0.0] * n
     for v in range(n):
         tot[membership[v]] += strength[v]
     moved_any = False
     for _ in range(_MAX_LOCAL_PASSES):
         moves = 0
-        for v in rng.permutation(n):
-            v = int(v)
+        for v in rng.permutation(n).tolist():
             old = membership[v]
             k_v = strength[v]
             wcom: dict[int, float] = {}
             for u, w in adj[v]:
-                c = int(membership[u])
+                c = membership[u]
                 wcom[c] = wcom.get(c, 0.0) + w
             tot[old] -= k_v
             best_c = old
@@ -172,29 +171,29 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
     rng = np.random.default_rng(seed)
 
     adj = g.adjacency()
-    self_loop = np.zeros(n, dtype=np.float64)
-    strength = np.array([sum(w for _, w in nbrs) for nbrs in adj], dtype=np.float64)
+    self_loop = [0.0] * n
+    strength = [sum(w for _, w in nbrs) for nbrs in adj]
     global_member = np.arange(n, dtype=np.int64)
     level_n = n
 
     while True:
-        level_member = np.arange(level_n, dtype=np.int64)
-        if not _local_moves(level_n, adj, strength, m2, level_member, rng):
+        level_member = list(range(level_n))
+        if not _local_moves(adj, strength, m2, level_member, rng):
             break
         k = _relabel_by_first_appearance(level_member)
-        global_member = level_member[global_member]
+        global_member = np.array(level_member, dtype=np.int64)[global_member]
         if k == level_n:
             break
         # contract communities to vertices; intra weight becomes a self-loop
-        new_self = np.zeros(k, dtype=np.float64)
+        new_self = [0.0] * k
         cross: dict[tuple[int, int], float] = {}
         for v in range(level_n):
-            cv = int(level_member[v])
+            cv = level_member[v]
             new_self[cv] += self_loop[v]
             for u, w in adj[v]:
                 if u < v:
                     continue
-                cu = int(level_member[u])
+                cu = level_member[u]
                 if cu == cv:
                     new_self[cv] += w
                 else:
@@ -205,10 +204,7 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
             adj[a].append((b, w))
             adj[b].append((a, w))
         adj = [sorted(nbrs) for nbrs in adj]
-        strength = np.array(
-            [sum(w for _, w in adj[c]) + 2.0 * new_self[c] for c in range(k)],
-            dtype=np.float64,
-        )
+        strength = [sum(w for _, w in adj[c]) + 2.0 * new_self[c] for c in range(k)]
         self_loop = new_self
         level_n = k
 
@@ -233,12 +229,12 @@ def refine_boundary(
     if n == 0:
         return assignment
     rng = np.random.default_rng(seed)
-    membership = assignment.membership.copy()
+    membership = assignment.membership.tolist()
     k = assignment.num_communities
-    sizes = np.bincount(membership, minlength=k)
-    ext = _external_degree(g, membership)
-    boundary_total = int((ext > 0).sum())
-    score = max(boundary_total, int(sizes.max()))
+    sizes = np.bincount(membership, minlength=k).tolist()
+    ext = _external_degree(g, membership).tolist()
+    boundary_total = sum(e > 0 for e in ext)
+    score = max(boundary_total, max(sizes))
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
@@ -247,12 +243,11 @@ def refine_boundary(
 
     while True:
         accepted = False
-        for v in rng.permutation(n):
-            v = int(v)
-            a = int(membership[v])
+        for v in rng.permutation(n).tolist():
+            a = membership[v]
             counts: dict[int, int] = {}
             for u in neighbors[v]:
-                c = int(membership[u])
+                c = membership[u]
                 counts[c] = counts.get(c, 0) + 1
             deg_v = len(neighbors[v])
             for b in range(k):
@@ -261,7 +256,7 @@ def refine_boundary(
                 cnt_b = counts.get(b, 0)
                 delta = (1 if deg_v - cnt_b > 0 else 0) - (1 if ext[v] > 0 else 0)
                 for u in neighbors[v]:
-                    cu = int(membership[u])
+                    cu = membership[u]
                     if cu == a and ext[u] == 0:
                         delta += 1
                     elif cu == b and ext[u] == 1:
@@ -269,14 +264,14 @@ def refine_boundary(
                 new_boundary = boundary_total + delta
                 new_largest = 0
                 for c in range(k):
-                    sz = int(sizes[c]) + (1 if c == b else 0) - (1 if c == a else 0)
+                    sz = sizes[c] + (1 if c == b else 0) - (1 if c == a else 0)
                     if sz > new_largest:
                         new_largest = sz
                 if max(new_boundary, new_largest) >= score:
                     continue
                 # accept: v moves from a to b
                 for u in neighbors[v]:
-                    cu = int(membership[u])
+                    cu = membership[u]
                     if cu == a:
                         ext[u] += 1
                         if ext[u] == 1:

@@ -42,6 +42,28 @@ def _canonical_term(term, num_vars: int) -> tuple[int, ...]:
     return tuple(sorted(i for i, c in counts.items() if c % 2))
 
 
+def _validated(items, num_vars: int):
+    """Yield ``(canonical term, float coefficient)``; reject non-finite ones."""
+    for term, coeff in items:
+        coeff = float(coeff)
+        if not math.isfinite(coeff):
+            raise ParameterError(f"coefficient of term {term} is {coeff}")
+        yield _canonical_term(term, num_vars), coeff
+
+
+def _summed(items) -> dict[tuple[int, ...], float]:
+    """Sum ``(term, coeff)`` pairs per term, drop exact zeros, and order the
+    terms by degree and then lexicographically."""
+    summed: dict[tuple[int, ...], float] = {}
+    for key, coeff in items:
+        value = summed.get(key, 0.0) + coeff
+        if value == 0.0:
+            summed.pop(key, None)
+        else:
+            summed[key] = value
+    return dict(sorted(summed.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+
 class PuboPolynomial:
     """Immutable-by-convention sparse spin polynomial."""
 
@@ -52,19 +74,18 @@ class PuboPolynomial:
         if num_vars < 0:
             raise ParameterError(f"num_vars must be nonnegative, got {num_vars}")
         self.num_vars = num_vars
-        canonical: dict[tuple[int, ...], float] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        for term, coeff in items:
-            coeff = float(coeff)
-            if not math.isfinite(coeff):
-                raise ParameterError(f"coefficient of term {term} is {coeff}")
-            key = _canonical_term(term, num_vars)
-            value = canonical.get(key, 0.0) + coeff
-            if value == 0.0:
-                canonical.pop(key, None)
-            else:
-                canonical[key] = value
-        self.terms = dict(sorted(canonical.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        self.terms = _summed(_validated(items, num_vars))
+
+    @classmethod
+    def _from_canonical(cls, num_vars: int, items: Iterable) -> "PuboPolynomial":
+        """Trusted constructor: every term is already a strictly increasing
+        tuple of indices in ``range(num_vars)`` and every coefficient a finite
+        float, so only summing, zero-dropping and sorting remain."""
+        poly = cls.__new__(cls)
+        poly.num_vars = num_vars
+        poly.terms = _summed(items)
+        return poly
 
     def degree(self) -> int:
         """Largest term cardinality; 0 for a constant or empty polynomial."""
@@ -95,20 +116,24 @@ class PuboPolynomial:
                 raise ParameterError(f"variable {i} out of range")
             if v not in (1, -1):
                 raise ParameterError(f"spin for variable {i} must be +/-1, got {v}")
-        free = (i for i in range(self.num_vars) if i not in fixed)
-        renumber = {i: j for j, i in enumerate(free)}
+        image: list[int | None] = [None] * self.num_vars  # new index of each free variable
+        num_free = 0
+        for i in range(self.num_vars):
+            if i not in fixed:
+                image[i] = num_free
+                num_free += 1
         out: list[tuple[tuple[int, ...], float]] = []
         for term, coeff in self.terms.items():
             kept = []
-            sign = 1
             for i in term:
-                j = renumber.get(i)
+                j = image[i]
                 if j is None:
-                    sign *= fixed[i]
+                    if fixed[i] < 0:
+                        coeff = -coeff
                 else:
                     kept.append(j)
-            out.append((tuple(kept), coeff * sign))
-        return PuboPolynomial(len(renumber), out)
+            out.append((tuple(kept), coeff))
+        return PuboPolynomial._from_canonical(num_free, out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial, energy_table
@@ -204,6 +203,9 @@ def optimize(
         np.concatenate([rng.uniform(0, 2 * np.pi, p), rng.uniform(0, np.pi, p)])
         for _ in range(starts)
     ]
+
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import minimize
 
     simulator = _Simulator(energies)
     trace: list[float] = []

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import index_to_spins, index_to_term, spins_to_index
+from .bitops import index_to_spins, index_to_term, masks_to_spins, spins_to_index
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial
@@ -218,24 +218,23 @@ def quench(
 
     Each boundary mask pins the boundary spins with
     :meth:`PuboPolynomial.restrict`, and the remaining core polynomial is
-    solved exactly by :func:`brute_force_min` under that solver's own
-    variable cap.  ``boundary_cap`` bounds ``|B_c|``.
+    solved exactly by :func:`brute_force_min`'s exhaustive search under that
+    solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
     """
     if sub.num_boundary > boundary_cap:
         raise ResourceLimitError(
             f"community {sub.community}: |B_c|={sub.num_boundary} exceeds cap {boundary_cap}"
         )
-    from .solvers import brute_force_min
+    from .solvers import _minimum
 
     nb = sub.num_boundary
     size = 1 << nb
     energies = np.empty(size, dtype=np.float64)
     argmins = np.empty(size, dtype=np.int64)
+    boundary_spins = masks_to_spins(np.arange(size), nb)
     for mask in range(size):
-        pinned = dict(enumerate(index_to_spins(mask, nb).tolist()))
-        energy, core_spins = brute_force_min(sub.intra.restrict(pinned))
-        energies[mask] = energy
-        argmins[mask] = spins_to_index(core_spins)
+        pinned = dict(enumerate(boundary_spins[mask].tolist()))
+        energies[mask], argmins[mask] = _minimum(sub.intra.restrict(pinned))
     return QuenchTable(sub.community, energies, argmins)
 
 

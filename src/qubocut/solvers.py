@@ -60,20 +60,26 @@ def brute_force_min(
     the lowest mask.  With dyadic weights every sum is exact; otherwise the
     energy may differ from the summed terms in the last bits.
     """
+    energy, mask = _minimum(poly, cap)
+    return energy, index_to_spins(mask, poly.num_vars)
+
+
+def _minimum(poly: PuboPolynomial, cap: int = DEFAULT_BRUTE_CAP) -> tuple[float, int]:
+    """:func:`brute_force_min` with the witness as its bitmask."""
     n = poly.num_vars
     if n > cap:
         raise ResourceLimitError(f"{n} variables exceed the brute-force cap {cap}")
     if n <= _FULL_TABLE_LIMIT:
         energies = energy_table(poly)
-        best_mask = int(np.argmin(energies))
-        return float(energies[best_mask]), index_to_spins(best_mask, n)
+        best_mask = int(energies.argmin())
+        return float(energies[best_mask]), best_mask
     best_energy, best_mask = np.inf, 0
     for first, energies in energy_blocks(poly, n - _FULL_TABLE_LIMIT):
         local = int(np.argmin(energies))
         if first == 0 or energies.flat[local] < best_energy:
             best_energy = float(energies.flat[local])
             best_mask = (first << _FULL_TABLE_LIMIT) + local
-    return best_energy, index_to_spins(best_mask, n)
+    return best_energy, best_mask
 
 
 @dataclass

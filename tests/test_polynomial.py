@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubocut import PuboPolynomial, energy_table, index_to_spins, maxcut_to_qubo, random_regular
 from qubocut.errors import ParameterError
@@ -82,6 +84,53 @@ def test_restrict_renumbers_free_variables():
         assert r.evaluate(spins) == pytest.approx(p.evaluate(full), abs=1e-12)
     q = PuboPolynomial(4, [((0, 2), 2.0), ((1, 3), -1.0), ((2,), 0.5), ((0,), 3.0)])
     assert q.restrict({0: -1, 3: 1}).terms == {(): -3.0, (1,): -1.5, (0,): -1.0}
+
+
+_COEFFS = st.one_of(
+    st.integers(-64, 64).map(lambda k: k / 8),  # dyadic
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 1 / 3, -2 / 7, 1e-300]),
+)
+
+
+@st.composite
+def _polys_with_pins(draw):
+    """A degree <= 4 polynomial, a pin set, and term pairs that restrict to
+    exact-zero sums."""
+    n = draw(st.integers(1, 8))
+    pinned = draw(st.sets(st.integers(0, n - 1)))
+    fixed = {i: draw(st.sampled_from([1, -1])) for i in sorted(pinned)}
+    terms = st.sets(st.integers(0, n - 1), max_size=min(4, n)).map(sorted).map(tuple)
+    items = draw(st.lists(st.tuples(terms, _COEFFS), max_size=12))
+    for term, coeff in draw(st.lists(st.tuples(terms, _COEFFS), max_size=3)):
+        spare = [i for i in pinned if i not in term and len(term) < 4]
+        if spare:
+            # term + {i} restricts to term's image times fixed[i]: the pair cancels
+            i = draw(st.sampled_from(spare))
+            items += [(tuple(sorted(term + (i,))), coeff), (term, -coeff * fixed[i])]
+    if draw(st.booleans()):
+        fixed = {i: np.int8(v) for i, v in fixed.items()}
+    return PuboPolynomial(n, items), fixed
+
+
+@settings(deadline=None)
+@given(_polys_with_pins())
+def test_restrict_equals_validating_construction(case):
+    p, fixed = case
+    renumber = {i: j for j, i in enumerate(i for i in range(p.num_vars) if i not in fixed)}
+    items = []
+    for term, coeff in p.terms.items():
+        sign = 1
+        for i in term:
+            if i in fixed:
+                sign *= int(fixed[i])
+        items.append((tuple(renumber[i] for i in term if i in renumber), coeff * sign))
+    expected = PuboPolynomial(len(renumber), items)
+    r = p.restrict(fixed)
+    assert r.num_vars == expected.num_vars
+    assert list(r.terms) == list(expected.terms)
+    assert [type(c) for c in r.terms.values()] == [float] * len(r.terms)
+    assert [c.hex() for c in r.terms.values()] == [c.hex() for c in expected.terms.values()]
 
 
 def test_restrict_rejects_bad_input():

@@ -1,8 +1,13 @@
 """Statevector QAOA simulator and budgeted multistart optimization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qubocut
 from qubocut import (
     Graph,
     PuboPolynomial,
@@ -231,3 +236,14 @@ def test_optimize_validates_arguments():
         optimize(poly, p=1, budget=2, starts=3, seed=0)
     with pytest.raises(ParameterError):
         optimize(poly, p=1, budget=10, starts=0, seed=0)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is most of the import time, and only optimize() needs it
+    code = "import sys, qubocut; print('scipy.optimize' in sys.modules)"
+    src = Path(qubocut.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
