@@ -52,7 +52,6 @@ from .qaoa import (
 from .qaoa import optimize as qaoa_optimize
 from .reducer import (
     CommunitySubinstance,
-    QuenchTable,
     ReducedInstance,
     lift_solution,
     quench,

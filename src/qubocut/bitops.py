@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError, ParameterError
+
 __all__ = [
     "index_to_spins",
     "masks_to_spins",
@@ -24,9 +26,9 @@ __all__ = [
 def index_to_spins(mask: int, n: int) -> np.ndarray:
     """Decode a mask into an int8 array of ``n`` spins in {+1, -1}."""
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ParameterError(f"n must be nonnegative, got {n}")
     if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} out of range for {n} variables")
+        raise ParameterError(f"mask {mask} out of range for {n} variables")
     return masks_to_spins(mask, n)
 
 
@@ -53,7 +55,7 @@ def term_to_index(term, n: int) -> int:
     mask = 0
     for i in term:
         if not 0 <= i < n:
-            raise ValueError(f"variable {i} out of range for {n} variables")
+            raise ParameterError(f"variable {i} out of range for {n} variables")
         mask |= 1 << (n - 1 - i)
     return mask
 
@@ -61,7 +63,7 @@ def term_to_index(term, n: int) -> int:
 def index_to_term(mask: int, n: int) -> tuple[int, ...]:
     """Inverse of :func:`term_to_index`: sorted variable indices of set bits."""
     if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} out of range for {n} variables")
+        raise ParameterError(f"mask {mask} out of range for {n} variables")
     return tuple(i for i in range(n) if (mask >> (n - 1 - i)) & 1)
 
 
@@ -69,9 +71,9 @@ def as_spins(values, num_vars: int | None = None) -> np.ndarray:
     """Validate and convert a spin sequence to a 1-D int8 array of +/-1."""
     s = np.asarray(values)
     if s.ndim != 1:
-        raise ValueError(f"spin assignment must be 1-D, got shape {s.shape}")
+        raise DimensionError(f"spin assignment must be 1-D, got shape {s.shape}")
     if s.size and not np.all(np.abs(s.astype(np.float64)) == 1.0):
-        raise ValueError("spin values must be +1 or -1")
+        raise ParameterError("spin values must be +1 or -1")
     if num_vars is not None and s.size != num_vars:
-        raise ValueError(f"expected {num_vars} spins, got {s.size}")
+        raise DimensionError(f"expected {num_vars} spins, got {s.size}")
     return s.astype(np.int8)

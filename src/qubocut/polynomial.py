@@ -21,12 +21,12 @@ import numpy as np
 
 from .bitops import as_spins, term_to_index
 from .errors import ParameterError
-from .wht import _fwht_rows
+from .wht import _BLOCK, _fwht_rows
 
 __all__ = ["PuboPolynomial", "energy_table", "energy_blocks"]
 
 _BLOCK_ROWS = 64  # leading masks per block of energy_blocks
-_PRODUCT_CAP = 64**3  # OpenBLAS runs a product on one thread up to this size
+_PRODUCT_CAP = _BLOCK**3  # products stay on one BLAS thread up to this size; see wht
 
 
 def _canonical_term(term, num_vars: int) -> tuple[int, ...]:

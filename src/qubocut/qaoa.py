@@ -9,6 +9,7 @@ budget of energy-expectation evaluations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +70,15 @@ def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.n
     return energy_table(poly)
 
 
-_MIXER_PHASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _mixer_phases(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n + 1`` values ``n - 2k`` and the bitcount ``k`` of each index."""
-    if d not in _MIXER_PHASES:
-        n = d.bit_length() - 1
-        bitcounts = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(np.int64)
-        _MIXER_PHASES[d] = (n - 2.0 * np.arange(n + 1), bitcounts)
-    return _MIXER_PHASES[d]
+    n = d.bit_length() - 1
+    values = n - 2.0 * np.arange(n + 1)
+    bitcounts = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(np.int64)
+    for array in (values, bitcounts):
+        array.flags.writeable = False  # one cached copy is shared by every call
+    return values, bitcounts
 
 
 def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:

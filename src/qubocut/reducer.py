@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import index_to_spins, index_to_term, masks_to_spins, spins_to_index
+from .bitops import index_to_term, masks_to_spins
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial
@@ -33,7 +33,6 @@ from .wht import fwht
 
 __all__ = [
     "CommunitySubinstance",
-    "QuenchTable",
     "ReducedInstance",
     "split_energy",
     "quench",
@@ -78,26 +77,12 @@ class CommunitySubinstance:
 
 
 @dataclass(frozen=True)
-class QuenchTable:
-    """Per-boundary-mask core minima of one community.
-
-    ``energies[b]`` is ``min_core E_c(b, core)`` and ``argmin_cores[b]`` the
-    lowest core bitmask attaining it, for each boundary mask ``b``.
-    """
-
-    community: int
-    energies: np.ndarray
-    argmin_cores: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReducedInstance:
     """Reduced PUBO over the global boundary plus lifting data.
 
     ``var_map[j]`` is the original vertex behind reduced variable ``j``.
-    ``mode`` is ``"exact"`` or ``"core-fixed"``; tables are kept in exact
-    mode so lifting is a lookup, while core-fixed lifting re-minimizes each
-    community's core under the chosen boundary.
+    ``mode`` is ``"exact"`` or ``"core-fixed"``.  ``subinstances`` are what
+    :func:`lift_solution` needs; they are not serialized.
     """
 
     poly: PuboPolynomial
@@ -105,7 +90,6 @@ class ReducedInstance:
     num_original_vars: int
     mode: str
     subinstances: tuple[CommunitySubinstance, ...] = ()
-    tables: tuple[QuenchTable, ...] = ()
 
     def to_json_dict(self) -> dict:
         data = self.poly.to_json_dict()
@@ -213,10 +197,11 @@ def split_energy(
 
 def quench(
     sub: CommunitySubinstance, boundary_cap: int = DEFAULT_BOUNDARY_CAP
-) -> QuenchTable:
+) -> np.ndarray:
     """Minimize the community energy over its core for every boundary mask.
 
-    Each boundary mask pins the boundary spins with
+    Returns the float64 table of ``2**|B_c|`` minima indexed by boundary
+    mask.  Each mask pins the boundary spins with
     :meth:`PuboPolynomial.restrict`, and the remaining core polynomial is
     solved exactly by :func:`brute_force_min`'s exhaustive search under that
     solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
@@ -230,24 +215,24 @@ def quench(
     nb = sub.num_boundary
     size = 1 << nb
     energies = np.empty(size, dtype=np.float64)
-    argmins = np.empty(size, dtype=np.int64)
     boundary_spins = masks_to_spins(np.arange(size), nb)
     for mask in range(size):
         pinned = dict(enumerate(boundary_spins[mask].tolist()))
-        energies[mask], argmins[mask] = _minimum(sub.intra.restrict(pinned))
-    return QuenchTable(sub.community, energies, argmins)
+        energies[mask], _ = _minimum(sub.intra.restrict(pinned))
+    return energies
 
 
 def table_to_polynomial(table) -> PuboPolynomial:
     """Interpolate a full energy table by a spin polynomial.
 
-    Accepts a :class:`QuenchTable` or a raw array of ``2**M`` energies indexed
-    by bitmask; returns the unique multilinear polynomial over ``M`` spins
-    whose energies reproduce the table.  Coefficients are ``fwht(energies) /
-    2**M``, with entries below ``WHT_PRUNE_EPS * max|energies|`` in magnitude
-    dropped, so pruning removes rounding noise at any weight scale.
+    ``table`` is an array of ``2**M`` energies indexed by bitmask, such as
+    :func:`quench` returns; the result is the unique multilinear polynomial
+    over ``M`` spins whose energies reproduce it.  Coefficients are
+    ``fwht(energies) / 2**M``, with entries below ``WHT_PRUNE_EPS *
+    max|energies|`` in magnitude dropped, so pruning removes rounding noise
+    at any weight scale.
     """
-    energies = np.asarray(getattr(table, "energies", table), dtype=np.float64)
+    energies = np.asarray(table, dtype=np.float64)
     m = energies.size.bit_length() - 1
     scale = np.abs(energies).max()
     if scale == 0.0:
@@ -269,7 +254,7 @@ def quench_communities(
     """Stage 2: split the energy, then solve each community in ``mode``.
 
     Returns the subinstances, the across polynomial and per community either
-    its :class:`QuenchTable` (exact) or the core spins of the lowest-bitmask
+    its :func:`quench` table (exact) or the core spins of the lowest-bitmask
     optimum of its whole subinstance (core-fixed).
     """
     if mode not in MODES:
@@ -316,7 +301,6 @@ def assemble_reduced(
         num_original_vars=across.num_vars,
         mode=mode,
         subinstances=tuple(subs),
-        tables=tuple(solved) if mode == "exact" else (),
     )
 
 
@@ -347,10 +331,12 @@ def reduce_core_fixed(
 def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
     """Extend a reduced (boundary) assignment to all original variables.
 
-    Exact mode reads each community's stored argmin core for the community's
-    boundary mask; core-fixed mode re-minimizes each core under the fixed
-    boundary, so the lifted energy never exceeds the reduced value at the
-    same boundary assignment.
+    In both modes each community's core gets the lowest-mask minimizer of
+    the community energy with its boundary pinned to the given spins.  In
+    exact mode that core attains the minimum :func:`quench` stored for this
+    boundary mask, so the lifted energy is the reduced value up to the
+    rounding of the interpolation; in core-fixed mode it never exceeds the
+    reduced value at the same boundary assignment.
     """
     if not instance.subinstances:
         raise ParameterError(
@@ -366,14 +352,7 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
     full[list(instance.var_map)] = b
     from .solvers import brute_force_min
 
-    for idx, sub in enumerate(instance.subinstances):
-        local_boundary = [int(b[to_reduced[v]]) for v in sub.boundary_vars]
-        mask = spins_to_index(local_boundary)
-        if instance.mode == "exact":
-            core_mask = int(instance.tables[idx].argmin_cores[mask])
-            core_spins = index_to_spins(core_mask, sub.num_core)
-        else:
-            pinned = dict(enumerate(local_boundary))
-            _, core_spins = brute_force_min(sub.intra.restrict(pinned))
-        full[list(sub.core_vars)] = core_spins
+    for sub in instance.subinstances:
+        pinned = {j: int(b[to_reduced[v]]) for j, v in enumerate(sub.boundary_vars)}
+        full[list(sub.core_vars)] = brute_force_min(sub.intra.restrict(pinned))[1]
     return full

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,20 @@ def _solve_reduced(reduced: PuboPolynomial, cfg: PipelineConfig):
     return brute_force_min(reduced, cfg.brute_cap)
 
 
+@contextmanager
+def _step(name: str, report: PipelineReport | None = None):
+    """Re-raise a failure in the block as a :class:`PipelineStepError` naming
+    step ``name``; given ``report``, store the block's wall time as its
+    ``t_<name>``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStepError(name, exc) from exc
+    if report is not None:
+        setattr(report, f"t_{name}", time.perf_counter() - t0)
+
+
 def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineReport:
     """Detect communities, quench, assemble the reduced PUBO, solve, lift.
 
@@ -256,56 +271,37 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     )
     poly = maxcut_to_qubo(g)
 
-    t0 = time.perf_counter()
-    try:
+    with _step("detect", report):
         assignment = detect_multilevel(g, seed=cfg.seed)
         if cfg.refine:
             assignment = refine_boundary(g, assignment, seed=cfg.seed)
-    except Exception as exc:
-        raise PipelineStepError("detect", exc) from exc
-    report.t_detect = time.perf_counter() - t0
     report.num_communities = assignment.num_communities
     report.boundary_size = int(assignment.boundary.sum())
     report.score = score_g(assignment)
     report.community_sizes = assignment.sizes().tolist()
 
     # stage 2 runs split + quench; stage 3 converts tables and assembles
-    t0 = time.perf_counter()
-    try:
+    with _step("quench", report):
         stage2 = quench_communities(poly, assignment, cfg.mode, cfg.boundary_cap)
-    except Exception as exc:
-        raise PipelineStepError("quench", exc) from exc
-    report.t_quench = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
+    with _step("assemble", report):
         instance = assemble_reduced(assignment, cfg.mode, *stage2)
-    except Exception as exc:
-        raise PipelineStepError("assemble", exc) from exc
-    report.t_assemble = time.perf_counter() - t0
     report.degree_histogram = instance.degree_histogram()
 
-    t0 = time.perf_counter()
-    try:
+    with _step("solve", report):
         e_reduced, reduced_spins = _solve_reduced(instance.poly, cfg)
         lifted = lift_solution(instance, reduced_spins)
         report.e_min_reduced = float(e_reduced)
         report.lifted_spins = lifted.tolist()
         report.lifted_energy = float(poly.evaluate(lifted))
-    except Exception as exc:
-        raise PipelineStepError("solve", exc) from exc
-    report.t_solve = time.perf_counter() - t0
 
     if g.num_vertices <= cfg.brute_cap:
         e_orig, _ = brute_force_min(poly, cfg.brute_cap)
         report.e_min_original = float(e_orig)
 
     if cfg.backend == "qaoa":
-        try:
+        with _step("qaoa"):
             report.qaoa = _qaoa_comparison(
                 poly, instance, assignment, cfg,
                 report.e_min_original, report.e_min_reduced,
             )
-        except Exception as exc:
-            raise PipelineStepError("qaoa", exc) from exc
     return report

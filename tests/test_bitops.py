@@ -15,6 +15,7 @@ from qubocut import (
     spins_to_index,
     term_to_index,
 )
+from qubocut.errors import DimensionError, ParameterError
 
 from oracles import all_spin_vectors
 
@@ -94,3 +95,19 @@ def test_as_spins_validation():
     with pytest.raises(ValueError):
         as_spins([1, -1], num_vars=3)
     assert as_spins([], num_vars=0).size == 0
+
+
+def test_errors_use_package_types():
+    # a length or shape error is a DimensionError, a bad value a ParameterError
+    for call in (
+        lambda: index_to_spins(0, -1),
+        lambda: index_to_spins(16, 4),
+        lambda: term_to_index((3,), 3),
+        lambda: index_to_term(8, 3),
+        lambda: as_spins([1, 0, -1]),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+    for call in (lambda: as_spins([[1, -1]]), lambda: as_spins([1, -1], num_vars=3)):
+        with pytest.raises(DimensionError):
+            call()

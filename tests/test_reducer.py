@@ -25,6 +25,7 @@ from qubocut import (
     reduce_core_fixed,
     reduce_exact,
     refine_boundary,
+    spins_to_index,
     split_energy,
     table_to_polynomial,
 )
@@ -121,8 +122,7 @@ def test_quench_no_core_copies_intra():
     table = quench(subs[0])
     for mask in range(4):
         spins = index_to_spins(mask, 2)
-        assert table.energies[mask] == pytest.approx(subs[0].intra.evaluate(spins))
-    np.testing.assert_array_equal(table.argmin_cores, np.zeros(4, dtype=np.int64))
+        assert table[mask] == pytest.approx(subs[0].intra.evaluate(spins))
 
 
 def test_quench_path_graph_example():
@@ -131,11 +131,8 @@ def test_quench_path_graph_example():
     sub = CommunitySubinstance(0, (0, 2), (1,), intra)
     table = quench(sub)
     # boundary (+1, +1): core -1 cuts both edges
-    assert table.energies[0] == -2.0
-    assert table.argmin_cores[0] == 1
-    np.testing.assert_array_equal(table.energies, [-2.0, -1.0, -1.0, -2.0])
-    # degenerate minima resolve to the lowest core mask
-    np.testing.assert_array_equal(table.argmin_cores, [1, 0, 0, 0])
+    assert table[0] == -2.0
+    np.testing.assert_array_equal(table, [-2.0, -1.0, -1.0, -2.0])
 
 
 def test_quench_matches_exhaustive_minimum():
@@ -146,21 +143,20 @@ def test_quench_matches_exhaustive_minimum():
     for sub in subs:
         nb, nc = len(sub.boundary_vars), len(sub.core_vars)
         table = quench(sub)
-        assert table.energies.shape == (1 << nb,)
+        assert table.shape == (1 << nb,)
         for bmask in range(1 << nb):
             b = index_to_spins(bmask, nb)
             values = []
             for cmask in range(1 << nc):
                 c = index_to_spins(cmask, nc)
                 values.append(sub.intra.evaluate(np.concatenate([b, c])))
-            assert table.energies[bmask] == pytest.approx(min(values), abs=1e-12)
+            assert table[bmask] == pytest.approx(min(values), abs=1e-12)
             # table energy is a lower bound on any fixed-core slice
-            assert table.energies[bmask] <= values[0] + 1e-12
+            assert table[bmask] <= values[0] + 1e-12
 
 
 def test_quench_matches_naive_per_mask_quench():
-    # dyadic weights keep every energy exact, so ties are real ties and the
-    # lowest-mask tie-break is compared bit for bit
+    # dyadic weights keep every energy exact, so the minima compare bit for bit
     rng = np.random.default_rng(48)
     for trial in range(12):
         n = int(rng.integers(4, 11))
@@ -171,10 +167,8 @@ def test_quench_matches_naive_per_mask_quench():
         ca = CommunityAssignment.from_membership(g, rng.integers(0, 3, size=n))
         subs, _ = split_energy(poly, ca)
         for sub in subs:
-            table = quench(sub)
-            energies, argmins = quench_naive(sub)
-            np.testing.assert_array_equal(table.energies, energies)
-            np.testing.assert_array_equal(table.argmin_cores, argmins)
+            energies, _ = quench_naive(sub)
+            np.testing.assert_array_equal(quench(sub), energies)
 
 
 def test_quench_boundary_cap():
@@ -456,3 +450,25 @@ def test_reduction_of_higher_degree_pubos(case):
     fixed = reduce_core_fixed(poly, ca)
     assert fixed.poly.degree() <= poly.degree()
     assert enumerate_min(fixed.poly)[0] >= e_orig
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_pubos_with_partitions())
+def test_lift_gives_the_lowest_mask_quench_core_in_both_modes(case):
+    # dyadic coefficients keep every sum exact, so ties are real ties, the
+    # lowest-mask tie-break is compared bit for bit and energies with ==
+    poly, ca = case
+    exact, fixed = reduce_exact(poly, ca), reduce_core_fixed(poly, ca)
+    position = {v: j for j, v in enumerate(exact.var_map)}
+    naive_argmins = [quench_naive(sub)[1] for sub in exact.subinstances]
+    core_spins = [all_spin_vectors(sub.num_core) for sub in exact.subinstances]
+    for b in all_spin_vectors(len(exact.var_map)):
+        lifts = [lift_solution(ri, b) for ri in (exact, fixed)]
+        for lifted in lifts:
+            np.testing.assert_array_equal(lifted[list(exact.var_map)], b)
+            for sub, argmins, cores in zip(exact.subinstances, naive_argmins, core_spins):
+                bmask = spins_to_index([b[position[v]] for v in sub.boundary_vars])
+                np.testing.assert_array_equal(
+                    lifted[list(sub.core_vars)], cores[argmins[bmask]]
+                )
+        assert poly.evaluate(lifts[0]) == exact.poly.evaluate(b)

@@ -275,6 +275,7 @@ def test_pipeline_step_error_names_stage():
         classical_pipeline(g, PipelineConfig(seed=2, boundary_cap=0))
     assert info.value.step == "quench"
     assert isinstance(info.value.cause, ResourceLimitError)
+    assert info.value.__cause__ is info.value.cause
 
 
 def test_pipeline_qaoa_comparison_fails_as_its_own_step():
