@@ -39,7 +39,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .polynomial import PuboPolynomial, energy_table
+from .polynomial import PuboPolynomial, brute_force_min, energy_table
 from .qaoa import (
     QaoaParams,
     QaoaResult,
@@ -64,7 +64,6 @@ from .solvers import (
     CSV_HEADER,
     PipelineConfig,
     PipelineReport,
-    brute_force_min,
     classical_pipeline,
 )
 from .wcnf import (

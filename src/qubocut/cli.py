@@ -28,7 +28,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .polynomial import PuboPolynomial
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
 from .qaoa import DEFAULT_QAOA_CAP, optimize
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
@@ -39,9 +39,7 @@ from .reducer import (
 from .solvers import (
     BACKENDS,
     CSV_HEADER,
-    DEFAULT_BRUTE_CAP,
     PipelineConfig,
-    brute_force_min,
     classical_pipeline,
 )
 from .wcnf import pubo_to_wcnf, run_external_solver
@@ -140,7 +138,13 @@ def _emit(args, payload: dict, csv_line: str | None = None, header: str | None =
         print(json.dumps(payload, indent=2))
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParameterError(f"--{flag} must be at least 1, got {value}")
+
+
 def cmd_generate(args) -> int:
+    _at_least_one("count", args.count)
     out = Path(args.out)
     if args.count == 1:
         write_graph(_make_graph(args), out)
@@ -323,8 +327,8 @@ def _bench_one(task) -> str:
 def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.n_list.split(",") if tok]
     modes = args.modes.split(",")
-    if args.jobs < 1:
-        raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
+    _at_least_one("jobs", args.jobs)
+    _at_least_one("count", args.count)
     for mode in modes:
         if mode not in MODES:
             raise ParameterError(f"unknown mode {mode!r} in --modes")

@@ -9,6 +9,11 @@ with the empty tuple holding the constant term.  Construction canonicalizes:
 repeated indices inside a term cancel in pairs (s_i**2 == 1), terms are keyed
 by strictly increasing index tuples, and exact-zero coefficients are dropped.
 A NaN or infinite coefficient is rejected.
+
+The module also owns exhaustive search: :func:`energy_table` lists every
+energy, and :func:`brute_force_min` finds the exact minimum with ties going
+to the lowest bitmask, the one primitive that quench, core freezing, lifting
+and the pipeline's exact solves share.
 """
 
 from __future__ import annotations
@@ -19,13 +24,19 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bitops import as_spins, term_to_index
-from .errors import ParameterError
+from .bitops import as_spins, index_to_spins, term_to_index
+from .errors import ParameterError, ResourceLimitError
 from .wht import _BLOCK, _fwht_rows
 
-__all__ = ["PuboPolynomial", "energy_table", "energy_blocks"]
+__all__ = ["PuboPolynomial", "energy_table", "brute_force_min", "DEFAULT_BRUTE_CAP"]
 
-_BLOCK_ROWS = 64  # leading masks per block of energy_blocks
+DEFAULT_BRUTE_CAP = 30
+# Trailing variables per table in brute_force_min, and the size up to which
+# it builds one energy table: on a 2-core x86-64 VM a product over one
+# leading variable lost to the table at n = 12 and tied at n = 13, and
+# limits 10 to 12 timed alike from n = 14 up.
+_FULL_TABLE_LIMIT = 12
+_BLOCK_ROWS = 64  # leading masks per block of _energy_blocks
 _PRODUCT_CAP = _BLOCK**3  # products stay on one BLAS thread up to this size; see wht
 
 
@@ -188,7 +199,7 @@ def energy_table(poly: PuboPolynomial) -> np.ndarray:
     return _fwht_rows(coeffs)
 
 
-def energy_blocks(poly: PuboPolynomial, high: int):
+def _energy_blocks(poly: PuboPolynomial, high: int):
     """Energies of ``poly`` for ascending blocks of its leading assignments.
 
     Yields ``(first, energies)``: row ``r`` of ``energies`` holds, indexed by
@@ -235,3 +246,38 @@ def energy_blocks(poly: PuboPolynomial, high: int):
 def _character_signs(masks, parts: np.ndarray) -> np.ndarray:
     """``(-1)**popcount(mask & part)`` over the outer product, as float64."""
     return 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(masks, parts)) & 1)
+
+
+def brute_force_min(
+    poly: PuboPolynomial, cap: int = DEFAULT_BRUTE_CAP
+) -> tuple[float, np.ndarray]:
+    """Exact minimum energy and its lowest-bitmask witness.
+
+    Up to ``_FULL_TABLE_LIMIT`` variables this is one Walsh-Hadamard energy
+    table and its argmin.  Above, the trailing ``_FULL_TABLE_LIMIT``
+    variables stay in tables, one per distinct part of a term over the
+    leading variables, and the energies of consecutive blocks of leading
+    assignments come from products of character signs with those tables
+    (:func:`_energy_blocks`), so no table of ``2**n`` entries is built.  A
+    later block replaces the best only when strictly lower, so ties go to
+    the lowest mask.  With dyadic weights every sum is exact; otherwise the
+    energy may differ from the summed terms in the last bits.
+    """
+    energy, mask = _minimum(poly, cap)
+    return energy, index_to_spins(mask, poly.num_vars)
+
+
+def _minimum(poly: PuboPolynomial, cap: int = DEFAULT_BRUTE_CAP) -> tuple[float, int]:
+    """:func:`brute_force_min` with the witness as its bitmask."""
+    n = poly.num_vars
+    if n > cap:
+        raise ResourceLimitError(f"{n} variables exceed the brute-force cap {cap}")
+    high = n - _FULL_TABLE_LIMIT
+    blocks = _energy_blocks(poly, high) if high > 0 else [(0, energy_table(poly))]
+    best_energy, best_mask = np.inf, 0
+    for first, energies in blocks:
+        local = int(energies.argmin())
+        energy = float(energies.flat[local])
+        if first == 0 or energy < best_energy:
+            best_energy, best_mask = energy, (first << _FULL_TABLE_LIMIT) + local
+    return best_energy, best_mask

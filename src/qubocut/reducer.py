@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import index_to_term, masks_to_spins
+from .bitops import as_spins, index_to_term, masks_to_spins
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
-from .polynomial import PuboPolynomial
+from .polynomial import PuboPolynomial, _minimum, brute_force_min
 from .wht import fwht
 
 __all__ = [
@@ -210,8 +210,6 @@ def quench(
         raise ResourceLimitError(
             f"community {sub.community}: |B_c|={sub.num_boundary} exceeds cap {boundary_cap}"
         )
-    from .solvers import _minimum
-
     nb = sub.num_boundary
     size = 1 << nb
     energies = np.empty(size, dtype=np.float64)
@@ -262,8 +260,6 @@ def quench_communities(
     subs, across = split_energy(poly, assignment)
     if mode == "exact":
         return subs, across, [quench(sub, boundary_cap) for sub in subs]
-    from .solvers import brute_force_min
-
     cores = [brute_force_min(sub.intra)[1][sub.num_boundary:] for sub in subs]
     return subs, across, cores
 
@@ -342,16 +338,10 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
         raise ParameterError(
             "this reduced instance carries no lifting data (loaded from JSON?)"
         )
-    b = np.asarray(boundary_spins, dtype=np.int64)
-    if b.shape != (len(instance.var_map),):
-        raise ParameterError(
-            f"expected {len(instance.var_map)} boundary spins, got {b.shape}"
-        )
+    b = as_spins(boundary_spins, len(instance.var_map))
     to_reduced = {v: j for j, v in enumerate(instance.var_map)}
     full = np.zeros(instance.num_original_vars, dtype=np.int8)
     full[list(instance.var_map)] = b
-    from .solvers import brute_force_min
-
     for sub in instance.subinstances:
         pinned = {j: int(b[to_reduced[v]]) for j, v in enumerate(sub.boundary_vars)}
         full[list(sub.core_vars)] = brute_force_min(sub.intra.restrict(pinned))[1]

@@ -1,4 +1,4 @@
-"""Exact brute-force minimization and the end-to-end classical pipeline."""
+"""The end-to-end classical pipeline: detect, quench, assemble, solve, lift."""
 
 from __future__ import annotations
 
@@ -6,81 +6,33 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bitops import index_to_spins
 from .community import detect_multilevel, refine_boundary, score_g
-from .errors import ExternalSolverError, ParameterError, PipelineStepError, ResourceLimitError
+from .errors import ExternalSolverError, ParameterError, PipelineStepError
 from .graphs import Graph, maxcut_to_qubo
-from .polynomial import PuboPolynomial, energy_blocks, energy_table
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
 from .qaoa import DEFAULT_QAOA_CAP, optimize
-# ``quench`` stays importable as ``solvers.quench`` for the benchmark's tracer
-from .reducer import (  # noqa: F401
+from .reducer import (
     DEFAULT_BOUNDARY_CAP,
     MODES,
     assemble_reduced,
     lift_solution,
-    quench,
     quench_communities,
     reduce_core_fixed,
     reduce_exact,
 )
+# kept for the benchmark's tracer, which reads solvers._FULL_TABLE_LIMIT and solvers.quench
+from .polynomial import _FULL_TABLE_LIMIT; from .reducer import quench  # noqa: E702, F401
 from .wcnf import pubo_to_wcnf, run_external_solver
 
 __all__ = [
-    "brute_force_min",
     "PipelineConfig",
     "PipelineReport",
     "classical_pipeline",
-    "DEFAULT_BRUTE_CAP",
     "CSV_HEADER",
     "BACKENDS",
 ]
 
-DEFAULT_BRUTE_CAP = 30
 BACKENDS = ("oracle", "wcnf", "qaoa")
-# Trailing variables per table in brute_force_min, and the size up to which
-# it builds one energy table: on a 2-core x86-64 VM a product over one
-# leading variable lost to the table at n = 12 and tied at n = 13, and
-# limits 10 to 12 timed alike from n = 14 up.
-_FULL_TABLE_LIMIT = 12
-
-
-def brute_force_min(
-    poly: PuboPolynomial, cap: int = DEFAULT_BRUTE_CAP
-) -> tuple[float, np.ndarray]:
-    """Exact minimum energy and its lowest-bitmask witness.
-
-    Up to ``_FULL_TABLE_LIMIT`` variables this is one Walsh-Hadamard energy
-    table and its argmin.  Above, the trailing ``_FULL_TABLE_LIMIT``
-    variables stay in tables, one per distinct part of a term over the
-    leading variables, and the energies of consecutive blocks of leading
-    assignments come from products of character signs with those tables
-    (:func:`energy_blocks`), so no table of ``2**n`` entries is built.  A
-    later block replaces the best only when strictly lower, so ties go to
-    the lowest mask.  With dyadic weights every sum is exact; otherwise the
-    energy may differ from the summed terms in the last bits.
-    """
-    energy, mask = _minimum(poly, cap)
-    return energy, index_to_spins(mask, poly.num_vars)
-
-
-def _minimum(poly: PuboPolynomial, cap: int = DEFAULT_BRUTE_CAP) -> tuple[float, int]:
-    """:func:`brute_force_min` with the witness as its bitmask."""
-    n = poly.num_vars
-    if n > cap:
-        raise ResourceLimitError(f"{n} variables exceed the brute-force cap {cap}")
-    if n <= _FULL_TABLE_LIMIT:
-        energies = energy_table(poly)
-        best_mask = int(energies.argmin())
-        return float(energies[best_mask]), best_mask
-    best_energy, best_mask = np.inf, 0
-    for first, energies in energy_blocks(poly, n - _FULL_TABLE_LIMIT):
-        local = int(np.argmin(energies))
-        if first == 0 or energies.flat[local] < best_energy:
-            best_energy = float(energies.flat[local])
-            best_mask = (first << _FULL_TABLE_LIMIT) + local
-    return best_energy, best_mask
 
 
 @dataclass
@@ -217,7 +169,8 @@ def _qaoa_comparison(
 
 def _solve_reduced(reduced: PuboPolynomial, cfg: PipelineConfig):
     """(minimum energy, argmin spins): the external solver for ``wcnf``,
-    else (or as its fallback) the brute-force oracle."""
+    else (or as its fallback within ``cfg.brute_cap``) the brute-force
+    oracle."""
     if cfg.backend == "wcnf":
         if cfg.solver_cmd is None and not cfg.fallback_to_oracle:
             raise ParameterError("wcnf backend needs solver_cmd (or fallback enabled)")
@@ -229,7 +182,7 @@ def _solve_reduced(reduced: PuboPolynomial, cfg: PipelineConfig):
                 )
                 return res.energy, res.spins
             except ExternalSolverError:
-                if not cfg.fallback_to_oracle:
+                if not cfg.fallback_to_oracle or reduced.num_vars > cfg.brute_cap:
                     raise
     return brute_force_min(reduced, cfg.brute_cap)
 

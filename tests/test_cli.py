@@ -377,6 +377,20 @@ def test_bench_jobs_below_one_is_an_error(jobs, capsys):
     assert stderr.startswith("error:") and "--jobs" in stderr
 
 
+@pytest.mark.parametrize("command", ["generate --n 8", "bench --n-list 8"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_is_an_error(command, count, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, stdout, stderr = run_cli(
+        capsys, *command.split(), "--kind", "regular", "--k", "3",
+        "--count", count, "--out", str(out),
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "--count" in stderr
+    assert not out.exists()
+
+
 def test_bench_missing_degree_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "bench", "--kind", "regular", "--n-list", "8")
     assert rc == 2

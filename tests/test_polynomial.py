@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qubocut import PuboPolynomial, energy_table, index_to_spins, maxcut_to_qubo, random_regular
 from qubocut.errors import ParameterError
-from qubocut.polynomial import energy_blocks
+from qubocut.polynomial import _energy_blocks
 
 from oracles import all_spin_vectors, eval_terms_int, eval_terms_naive
 
@@ -244,7 +244,7 @@ def test_energy_blocks_tile_the_energy_table(n):
     p = _random_poly(rng, n, num_terms=30, max_degree=min(5, n))
     table = energy_table(p).reshape(-1)
     for high in range(n + 1):
-        blocks = [(first, energies.copy()) for first, energies in energy_blocks(p, high)]
+        blocks = [(first, energies.copy()) for first, energies in _energy_blocks(p, high)]
         starts = [first for first, _ in blocks]
         assert starts == sorted(starts) and starts[0] == 0
         # integer sums are exact, so the blocks equal the table bit for bit
@@ -254,4 +254,4 @@ def test_energy_blocks_tile_the_energy_table(n):
 def test_energy_blocks_rejects_bad_split():
     for high in (-1, 4):
         with pytest.raises(ParameterError):
-            next(energy_blocks(PuboPolynomial(3), high))
+            next(_energy_blocks(PuboPolynomial(3), high))

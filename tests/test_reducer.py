@@ -347,6 +347,20 @@ def test_lift_core_fixed_reminimizes():
         assert poly.evaluate(lifted) <= ri.poly.evaluate(b) + 1e-12
 
 
+def test_lift_rejects_bad_boundary_spins():
+    g = random_regular(12, 3, seed=46)
+    poly = maxcut_to_qubo(g)
+    ri = reduce_exact(poly, refine_boundary(g, detect_multilevel(g, seed=46), seed=46))
+    nb = len(ri.var_map)
+    for bad in (1.7, 0.4):
+        # neither value is rounded to a spin
+        with pytest.raises(ParameterError, match="must be \\+1 or -1"):
+            lift_solution(ri, [bad] + [1] * (nb - 1))
+    for length in (nb - 1, nb + 1):
+        with pytest.raises(DimensionError):
+            lift_solution(ri, [1] * length)
+
+
 def test_reduced_instance_round_trip(tmp_path):
     g = random_regular(12, 3, seed=47)
     poly = maxcut_to_qubo(g)

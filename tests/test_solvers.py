@@ -25,7 +25,12 @@ from qubocut import (
     refine_boundary,
     solvers,
 )
-from qubocut.errors import ParameterError, PipelineStepError, ResourceLimitError
+from qubocut.errors import (
+    ExternalSolverError,
+    ParameterError,
+    PipelineStepError,
+    ResourceLimitError,
+)
 
 from oracles import enumerate_min, score_from_scratch
 
@@ -130,10 +135,19 @@ def _polynomials(draw):
 def test_blocked_minimum_matches_enumeration(poly, rows):
     # three trailing variables per table and few leading masks per product
     # put block boundaries everywhere the minimum could lie
+    blocked = []
+    energy_blocks = polynomial._energy_blocks
+
+    def spy(p, high):
+        blocked.append(high)
+        return energy_blocks(p, high)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_FULL_TABLE_LIMIT", 3)
+        mp.setattr(polynomial, "_FULL_TABLE_LIMIT", 3)
         mp.setattr(polynomial, "_BLOCK_ROWS", rows)
+        mp.setattr(polynomial, "_energy_blocks", spy)
         energy, spins = brute_force_min(poly)
+    assert blocked == ([poly.num_vars - 3] if poly.num_vars > 3 else [])
     e_oracle, s_oracle = enumerate_min(poly)
     assert energy == e_oracle
     np.testing.assert_array_equal(spins, s_oracle)
@@ -306,6 +320,17 @@ def test_pipeline_wcnf_backend_falls_back_to_oracle():
             ),
         )
     assert info.value.step == "solve"
+
+
+def test_pipeline_wcnf_failure_above_brute_cap_is_not_masked():
+    # B = 40 > brute_cap: the oracle cannot stand in, so the solver's own
+    # error must reach the caller rather than the cap refusal
+    g = random_regular(60, 3, seed=1)
+    cfg = PipelineConfig(backend="wcnf", solver_cmd="/no/such/solver", seed=1)
+    with pytest.raises(PipelineStepError) as info:
+        classical_pipeline(g, cfg)
+    assert info.value.step == "solve"
+    assert isinstance(info.value.cause, ExternalSolverError)
 
 
 def test_pipeline_qaoa_backend_reports_three_ratios(monkeypatch):
