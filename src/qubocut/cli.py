@@ -29,7 +29,13 @@ from .graphs import (
     write_graph,
 )
 from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
-from .qaoa import DEFAULT_QAOA_CAP, optimize
+from .qaoa import (
+    DEFAULT_QAOA_BUDGET,
+    DEFAULT_QAOA_CAP,
+    DEFAULT_QAOA_DEPTH,
+    DEFAULT_QAOA_STARTS,
+    optimize,
+)
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
     MODES,
@@ -41,8 +47,8 @@ from .solvers import (
     CSV_HEADER,
     PipelineConfig,
     classical_pipeline,
+    solve,
 )
-from .wcnf import pubo_to_wcnf, run_external_solver
 
 STATS_HEADER = (
     "graph,n,m,num_communities,mean_community_size,"
@@ -74,39 +80,36 @@ def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
-def _pipeline_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register what :func:`_pipeline_config` reads, plus the named shared flags.
-
-    The graph flags ``--kind`` and ``--k`` come from the graph source.
-    """
-    _shared_flags(parser, *names, "solver-cmd", "boundary-cap", "brute-cap", "qaoa-cap")
-    parser.add_argument("--backend", choices=BACKENDS, default="oracle")
+def _pipeline_flags(parser: argparse.ArgumentParser, backends, *names: str) -> None:
+    """Register what :func:`_pipeline_config` reads (``--backend`` with the
+    given choices) and the named shared flags; ``--kind`` and ``--k`` come
+    from the graph source."""
+    _shared_flags(parser, *names, "solver-cmd", "boundary-cap", "brute-cap")
+    parser.add_argument("--backend", choices=backends, default="oracle")
     parser.add_argument("--no-refine", action="store_true")
-    parser.add_argument("--depth", type=int, default=4)
-    parser.add_argument("--budget", type=int, default=10_000)
-    parser.add_argument("--starts", type=int, default=4)
 
 
 def _make_graph(args, seed: int | None = None) -> Graph:
-    """The graph named by ``--graph``, or a random one drawn with ``seed``.
-
-    ``seed`` defaults to ``--seed``; ``generate`` and ``bench`` pass one per
-    graph.
-    """
+    """The graph named by ``--graph``, or a random one of ``--n`` vertices
+    drawn with ``seed`` (default ``--seed``)."""
     if args.graph is not None:
         return read_graph(args.graph)
-    seed = args.seed if seed is None else seed
-    if args.kind is not None and args.n is None:
+    if args.kind is None:
+        raise ParameterError("give --graph FILE or --kind with --n")
+    if args.n is None:
         raise ParameterError(f"--kind {args.kind} needs --n")
+    return _random_graph(args, args.n, args.seed if seed is None else seed)
+
+
+def _random_graph(args, n: int, seed: int) -> Graph:
+    """A random ``--kind`` graph on ``n`` vertices, drawn with ``seed``."""
     if args.kind == "regular":
         if args.k is None:
             raise ParameterError("--kind regular needs --k")
-        return random_regular(args.n, args.k, seed)
-    if args.kind in ("er", "erdos"):
-        if args.p is None:
-            raise ParameterError(f"--kind {args.kind} needs --p")
-        return random_erdos_renyi(args.n, args.p, seed)
-    raise ParameterError("give --graph FILE or --kind with --n")
+        return random_regular(n, args.k, seed)
+    if args.p is None:
+        raise ParameterError(f"--kind {args.kind} needs --p")
+    return random_erdos_renyi(n, args.p, seed)
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,32 +168,25 @@ def cmd_generate(args) -> int:
 
 
 def _stats_row(path: str, seed: int, refine: bool) -> tuple[dict, str]:
+    """One graph's statistics; community count and mean size of the final partition."""
     g = read_graph(path)
+    n = g.num_vertices
     base = detect_multilevel(g, seed=seed)
+    refined = refine_boundary(g, base, seed=seed) if refine else None
+    final = base if refined is None else refined
     b_base = int(base.boundary.sum())
-    row = {
+    b_ref = None if refined is None else int(refined.boundary.sum())
+    row = {  # max(., 1) gives 0.0 on an empty graph
         "graph": path,
-        "n": g.num_vertices,
+        "n": n,
         "m": g.num_edges,
-        "num_communities": base.num_communities,
-        "mean_community_size": (
-            g.num_vertices / base.num_communities if base.num_communities else 0.0
-        ),
+        "num_communities": final.num_communities,
+        "mean_community_size": n / max(final.num_communities, 1),
         "b_baseline": b_base,
-        "b_refined": None,
-        "reduction_baseline": (
-            (g.num_vertices - b_base) / g.num_vertices if g.num_vertices else 0.0
-        ),
-        "reduction_refined": None,
+        "b_refined": b_ref,
+        "reduction_baseline": (n - b_base) / max(n, 1),
+        "reduction_refined": None if b_ref is None else (n - b_ref) / max(n, 1),
     }
-    if refine:
-        refined = refine_boundary(g, base, seed=seed)
-        b_ref = int(refined.boundary.sum())
-        row["num_communities"] = refined.num_communities
-        row["b_refined"] = b_ref
-        row["reduction_refined"] = (
-            (g.num_vertices - b_ref) / g.num_vertices if g.num_vertices else 0.0
-        )
     csv_line = ",".join(
         "" if row[key] is None else str(row[key]) for key in STATS_HEADER.split(",")
     )
@@ -198,18 +194,10 @@ def _stats_row(path: str, seed: int, refine: bool) -> tuple[dict, str]:
 
 
 def cmd_stats(args) -> int:
-    rows = []
-    lines = []
-    for path in args.graphs:
-        row, line = _stats_row(path, args.seed, not args.no_refine)
-        rows.append(row)
-        lines.append(line)
-    if args.format == "csv":
-        print(STATS_HEADER)
-        for line in lines:
-            print(line)
-    else:
-        print(json.dumps(rows, indent=2))
+    rows, lines = zip(
+        *(_stats_row(path, args.seed, not args.no_refine) for path in args.graphs)
+    )
+    _emit(args, list(rows), csv_line="\n".join(lines), header=STATS_HEADER)
     return 0
 
 
@@ -242,13 +230,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     poly = _load_poly(args)
-    if args.solver_cmd is not None:
-        res = run_external_solver(pubo_to_wcnf(poly), args.solver_cmd, poly)
-        energy, spins = res.energy, res.spins
-        method = "wcnf"
-    else:
-        energy, spins = brute_force_min(poly, args.brute_cap)
-        method = "oracle"
+    energy, spins = solve(poly, args.solver_cmd, args.brute_cap)
+    method = "oracle" if args.solver_cmd is None else "wcnf"
     payload = {"energy": energy, "spins": spins.tolist(), "method": method}
     _emit(args, payload, csv_line=f"{energy},{''.join('+' if s > 0 else '-' for s in spins)}")
     return 0
@@ -292,7 +275,8 @@ def cmd_qaoa(args) -> int:
     return 0
 
 
-def _pipeline_config(args, seed: int, mode: str) -> PipelineConfig:
+def _pipeline_config(args, seed: int, mode: str, **qaoa) -> PipelineConfig:
+    """The run ``args`` describe; only ``pipeline`` has ``qaoa`` settings to pass."""
     return PipelineConfig(
         mode=mode,
         backend=args.backend,
@@ -301,59 +285,46 @@ def _pipeline_config(args, seed: int, mode: str) -> PipelineConfig:
         boundary_cap=args.boundary_cap,
         brute_cap=args.brute_cap,
         solver_cmd=args.solver_cmd,
-        qaoa_depth=args.depth,
-        qaoa_budget=args.budget,
-        qaoa_starts=args.starts,
-        qaoa_cap=args.qaoa_cap,
         graph_kind=args.kind or "",
         graph_k=args.k,
+        **qaoa,
     )
 
 
 def cmd_pipeline(args) -> int:
     g = _make_graph(args)
-    report = classical_pipeline(g, _pipeline_config(args, args.seed, args.mode))
+    cfg = _pipeline_config(
+        args, args.seed, args.mode,
+        qaoa_depth=args.depth, qaoa_budget=args.budget,
+        qaoa_starts=args.starts, qaoa_cap=args.qaoa_cap,
+    )
+    report = classical_pipeline(g, cfg)
     _emit(args, report.to_json_dict(), csv_line=report.to_csv_row(), header=CSV_HEADER)
     return 0
 
 
-def _bench_one(task) -> str:
-    n, seed, mode, args_dict = task
-    ns = argparse.Namespace(**args_dict, graph=None, n=n)
-    report = classical_pipeline(_make_graph(ns, seed), _pipeline_config(ns, seed, mode))
-    return report.to_csv_row()
-
-
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.n_list.split(",") if tok]
-    modes = args.modes.split(",")
     _at_least_one("jobs", args.jobs)
     _at_least_one("count", args.count)
-    for mode in modes:
-        if mode not in MODES:
-            raise ParameterError(f"unknown mode {mode!r} in --modes")
-    args_dict = vars(args).copy()
-    args_dict.pop("func", None)
-    args_dict["kind"] = args.kind or "regular"
-    tasks = [
-        (n, args.seed + i, mode, args_dict)
-        for n in sizes
-        for mode in modes
+    runs = [
+        (n, mode, args.seed + i)
+        for n in (int(tok) for tok in args.n_list.split(",") if tok)
+        for mode in args.modes.split(",")
         for i in range(args.count)
     ]
-    lines = []
+    configs = [_pipeline_config(args, seed, mode) for _, mode, seed in runs]
+    graphs = [_random_graph(args, n, seed) for n, _, seed in runs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            lines = list(pool.map(_bench_one, tasks))
+            reports = list(pool.map(classical_pipeline, graphs, configs))
     else:
-        lines = [_bench_one(t) for t in tasks]
-    out_lines = [CSV_HEADER] + lines
+        reports = list(map(classical_pipeline, graphs, configs))
+    text = "\n".join([CSV_HEADER] + [report.to_csv_row() for report in reports])
     if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
-        print(f"wrote {len(lines)} rows to {args.out}")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {len(reports)} rows to {args.out}")
     else:
-        for ln in out_lines:
-            print(ln)
+        print(text)
     return 0
 
 
@@ -397,26 +368,30 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p_qaoa, "brute-cap", "qaoa-cap")
     p_qaoa.add_argument("--input", default=None, help="polynomial JSON path")
     p_qaoa.add_argument("--graph", default=None, help="path to a graph file")
-    p_qaoa.add_argument("--p", type=int, default=4, help="circuit depth")
-    p_qaoa.add_argument("--budget", type=int, default=10_000)
-    p_qaoa.add_argument("--starts", type=int, default=4)
+    p_qaoa.add_argument("--p", type=int, default=DEFAULT_QAOA_DEPTH, help="circuit depth")
+    p_qaoa.add_argument("--budget", type=int, default=DEFAULT_QAOA_BUDGET)
+    p_qaoa.add_argument("--starts", type=int, default=DEFAULT_QAOA_STARTS)
     p_qaoa.add_argument("--trace-out", default=None, help="per-eval CSV path")
     p_qaoa.set_defaults(func=cmd_qaoa)
 
     p_pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     _add_graph_source(p_pipe)
-    _pipeline_flags(p_pipe, "format")
+    _pipeline_flags(p_pipe, BACKENDS, "format", "qaoa-cap")
     p_pipe.add_argument("--mode", choices=MODES, default="exact")
+    p_pipe.add_argument("--depth", type=int, default=DEFAULT_QAOA_DEPTH)
+    p_pipe.add_argument("--budget", type=int, default=DEFAULT_QAOA_BUDGET)
+    p_pipe.add_argument("--starts", type=int, default=DEFAULT_QAOA_STARTS)
     p_pipe.set_defaults(func=cmd_pipeline)
 
+    # no QAOA backend or flags: the bench CSV has no column for a QAOA result
     p_bench = sub.add_parser("bench", help="sweep pipeline runs into CSV")
     _add_generator_flags(p_bench)
-    _pipeline_flags(p_bench, "jobs")
+    _pipeline_flags(p_bench, ("oracle", "wcnf"), "jobs")
     p_bench.add_argument("--n-list", default="12,16,20", help="comma-separated sizes")
     p_bench.add_argument("--count", type=int, default=5, help="seeds per size")
     p_bench.add_argument("--modes", default="exact", help="comma-separated modes")
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, kind="regular")
 
     return parser
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .polynomial import PuboPolynomial
+from .polynomial import PuboPolynomial, _index
 
 __all__ = [
     "Graph",
@@ -35,12 +35,12 @@ class Graph:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        n = int(self.num_vertices)
+        n = _index(self.num_vertices, "num_vertices")
         if n < 0:
             raise ParameterError(f"num_vertices must be nonnegative, got {n}")
         canon = []
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u, v = _index(u, "vertex"), _index(v, "vertex")
             if u == v:
                 raise ParameterError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

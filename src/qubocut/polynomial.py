@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -40,11 +41,19 @@ _BLOCK_ROWS = 64  # leading masks per block of _energy_blocks
 _PRODUCT_CAP = _BLOCK**3  # products stay on one BLAS thread up to this size; see wht
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int: numpy integers pass, while a bool, a float (which
+    ``int`` would truncate), a string or another non-integer raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _canonical_term(term, num_vars: int) -> tuple[int, ...]:
     # fold duplicates by parity: s_i * s_i == 1
     counts: dict[int, int] = {}
     for i in term:
-        i = int(i)
+        i = _index(i, "variable")
         if not 0 <= i < num_vars:
             raise ParameterError(
                 f"variable {i} out of range for {num_vars} variables"
@@ -81,7 +90,7 @@ class PuboPolynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable | None = None):
-        num_vars = int(num_vars)
+        num_vars = _index(num_vars, "num_vars")
         if num_vars < 0:
             raise ParameterError(f"num_vars must be nonnegative, got {num_vars}")
         self.num_vars = num_vars

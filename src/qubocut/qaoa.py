@@ -28,9 +28,15 @@ __all__ = [
     "approximation_ratio",
     "optimize",
     "DEFAULT_QAOA_CAP",
+    "DEFAULT_QAOA_DEPTH",
+    "DEFAULT_QAOA_BUDGET",
+    "DEFAULT_QAOA_STARTS",
 ]
 
 DEFAULT_QAOA_CAP = 24
+DEFAULT_QAOA_DEPTH = 4
+DEFAULT_QAOA_BUDGET = 10_000
+DEFAULT_QAOA_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -165,8 +171,8 @@ class _BudgetExhausted(Exception):
 def optimize(
     poly: PuboPolynomial,
     p: int,
-    budget: int = 10_000,
-    starts: int = 4,
+    budget: int = DEFAULT_QAOA_BUDGET,
+    starts: int = DEFAULT_QAOA_STARTS,
     seed: int = 0,
     e_min: float | None = None,
     cap: int = DEFAULT_QAOA_CAP,

@@ -28,7 +28,7 @@ import numpy as np
 from .bitops import as_spins, index_to_term, masks_to_spins
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
-from .polynomial import PuboPolynomial, _minimum, brute_force_min
+from .polynomial import PuboPolynomial, _index, _minimum, brute_force_min
 from .wht import fwht
 
 __all__ = [
@@ -109,9 +109,9 @@ class ReducedInstance:
     def from_json_dict(cls, data) -> "ReducedInstance":
         poly = PuboPolynomial.from_json_dict(data)
         try:
-            var_map = tuple(int(v) for v in data["var_map"])
+            var_map = tuple(_index(v, "var_map entry") for v in data["var_map"])
             mode = data["mode"]
-            num_original = int(data["num_original_vars"])
+            num_original = _index(data["num_original_vars"], "num_original_vars")
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed reduced-instance JSON: {exc}") from exc
         if mode not in MODES:

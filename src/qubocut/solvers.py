@@ -7,10 +7,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .community import detect_multilevel, refine_boundary, score_g
-from .errors import ExternalSolverError, ParameterError, PipelineStepError
+from .errors import ParameterError, PipelineStepError
 from .graphs import Graph, maxcut_to_qubo
 from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
-from .qaoa import DEFAULT_QAOA_CAP, optimize
+from .qaoa import (
+    DEFAULT_QAOA_BUDGET,
+    DEFAULT_QAOA_CAP,
+    DEFAULT_QAOA_DEPTH,
+    DEFAULT_QAOA_STARTS,
+    optimize,
+)
 from .reducer import (
     DEFAULT_BOUNDARY_CAP,
     MODES,
@@ -25,6 +31,7 @@ from .polynomial import _FULL_TABLE_LIMIT; from .reducer import quench  # noqa: 
 from .wcnf import pubo_to_wcnf, run_external_solver
 
 __all__ = [
+    "solve",
     "PipelineConfig",
     "PipelineReport",
     "classical_pipeline",
@@ -39,12 +46,14 @@ BACKENDS = ("oracle", "wcnf", "qaoa")
 class PipelineConfig:
     """Knobs for :func:`classical_pipeline`.
 
-    ``mode`` selects exact or core-fixed quenching; ``backend`` solves the
-    reduced instance with the in-package brute-force oracle, an external
-    weighted-MaxSAT solver, or the QAOA simulator.  ``boundary_cap`` bounds
-    each community's boundary in exact mode; ``brute_cap`` bounds the exact
-    solves of the reduced and (when it fits) the original instance, while
-    every per-community solve runs under :func:`brute_force_min`'s own cap.
+    ``mode`` selects exact or core-fixed quenching.  ``backend`` ``"wcnf"``
+    solves the reduced instance with the external weighted-MaxSAT solver
+    ``solver_cmd``, which only it takes; ``"oracle"`` and ``"qaoa"`` use the
+    brute-force oracle, and ``"qaoa"`` adds the QAOA comparison.
+    ``boundary_cap`` bounds each community's boundary in exact mode;
+    ``brute_cap`` bounds the exact solves of the reduced and (when it fits)
+    the original instance, while every per-community solve runs under
+    :func:`brute_force_min`'s own cap.
     """
 
     mode: str = "exact"
@@ -55,10 +64,9 @@ class PipelineConfig:
     brute_cap: int = DEFAULT_BRUTE_CAP
     solver_cmd: str | None = None
     solver_timeout: float | None = None
-    fallback_to_oracle: bool = True
-    qaoa_depth: int = 4
-    qaoa_budget: int = 10_000
-    qaoa_starts: int = 4
+    qaoa_depth: int = DEFAULT_QAOA_DEPTH
+    qaoa_budget: int = DEFAULT_QAOA_BUDGET
+    qaoa_starts: int = DEFAULT_QAOA_STARTS
     qaoa_cap: int = DEFAULT_QAOA_CAP
     graph_kind: str = ""
     graph_k: int | None = None
@@ -68,6 +76,8 @@ class PipelineConfig:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.backend not in BACKENDS:
             raise ParameterError(f"unknown backend {self.backend!r}")
+        if (self.backend == "wcnf") != (self.solver_cmd is not None):
+            raise ParameterError("a solver command goes with backend 'wcnf' and only with it")
 
 
 @dataclass
@@ -167,24 +177,18 @@ def _qaoa_comparison(
     return info
 
 
-def _solve_reduced(reduced: PuboPolynomial, cfg: PipelineConfig):
-    """(minimum energy, argmin spins): the external solver for ``wcnf``,
-    else (or as its fallback within ``cfg.brute_cap``) the brute-force
-    oracle."""
-    if cfg.backend == "wcnf":
-        if cfg.solver_cmd is None and not cfg.fallback_to_oracle:
-            raise ParameterError("wcnf backend needs solver_cmd (or fallback enabled)")
-        if cfg.solver_cmd is not None:
-            try:
-                res = run_external_solver(
-                    pubo_to_wcnf(reduced), cfg.solver_cmd, reduced,
-                    timeout=cfg.solver_timeout,
-                )
-                return res.energy, res.spins
-            except ExternalSolverError:
-                if not cfg.fallback_to_oracle or reduced.num_vars > cfg.brute_cap:
-                    raise
-    return brute_force_min(reduced, cfg.brute_cap)
+def solve(
+    poly: PuboPolynomial, solver_cmd=None, brute_cap: int = DEFAULT_BRUTE_CAP,
+    timeout: float | None = None,
+):
+    """(minimum energy, argmin spins) of ``poly``: the external
+    weighted-MaxSAT solver ``solver_cmd`` when one is given, else
+    :func:`brute_force_min` under ``brute_cap``.  A failing solver raises;
+    the oracle never stands in for it."""
+    if solver_cmd is not None:
+        res = run_external_solver(pubo_to_wcnf(poly), solver_cmd, poly, timeout=timeout)
+        return res.energy, res.spins
+    return brute_force_min(poly, brute_cap)
 
 
 @contextmanager
@@ -241,7 +245,9 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     report.degree_histogram = instance.degree_histogram()
 
     with _step("solve", report):
-        e_reduced, reduced_spins = _solve_reduced(instance.poly, cfg)
+        e_reduced, reduced_spins = solve(
+            instance.poly, cfg.solver_cmd, cfg.brute_cap, cfg.solver_timeout
+        )
         lifted = lift_solution(instance, reduced_spins)
         report.e_min_reduced = float(e_reduced)
         report.lifted_spins = lifted.tolist()

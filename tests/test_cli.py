@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface, run in process."""
 
+import argparse
 import json
+import re
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,7 @@ from qubocut import (
     read_graph,
     write_graph,
 )
-from qubocut.cli import STATS_HEADER, main
+from qubocut.cli import _SHARED_FLAGS, STATS_HEADER, build_parser, main
 from oracles import enumerate_min
 
 
@@ -146,6 +149,18 @@ def test_stats_json_refinement_fields(graph_file, capsys):
     assert row["b_refined"] is None and row["reduction_refined"] is None
 
 
+def test_stats_mean_size_matches_community_count(tmp_path, capsys):
+    # refinement merges this graph's four communities into three
+    path = tmp_path / "g20.txt"
+    write_graph(random_regular(20, 3, seed=2), path)
+    for extra in ((), ("--no-refine",)):
+        rc, stdout, _ = run_cli(capsys, "stats", str(path), *extra)
+        assert rc == 0
+        row = json.loads(stdout)[0]
+        assert row["mean_community_size"] == 20 / row["num_communities"]
+    assert row["num_communities"] == 4
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -250,6 +265,16 @@ def test_solve_rejects_non_finite_coefficient(tmp_path, capsys, bad):
     assert "coefficient" in stderr
 
 
+@pytest.mark.parametrize("term", ["[0.7, 2]", '[0, "2"]', "[true]"])
+def test_solve_rejects_non_integer_index(tmp_path, capsys, term):
+    path = tmp_path / "poly.json"
+    path.write_text('{"num_vars": 3, "terms": [{"vars": %s, "coeff": 1.0}]}' % term)
+    rc, stdout, stderr = run_cli(capsys, "solve", "--poly", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert "must be an integer" in stderr
+
+
 def test_solve_without_inputs_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "solve")
     assert rc == 2
@@ -335,6 +360,21 @@ def test_pipeline_csv_format(capsys):
     assert fields[0] == "12" and fields[3] == "exact"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--backend", "wcnf"], ["--solver-cmd", "/no/such/solver"]],
+    ids=["wcnf-without-solver", "solver-without-wcnf"],
+)
+def test_pipeline_solver_command_goes_with_wcnf(extra, capsys):
+    rc, stdout, stderr = run_cli(
+        capsys, "pipeline", "--kind", "regular", "--n", "12", "--k", "3",
+        "--seed", "1", *extra,
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "solver command" in stderr
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc, stdout, _ = run_cli(
@@ -418,17 +458,23 @@ def test_bench_refuses_graph_file(graph_file, capsys):
         ["stats", "g.txt", "--brute-cap", "5"],
         ["solve", "--jobs", "2"],
         ["solve", "--caps", "5"],
+        ["bench", "--depth", "2"],
+        ["bench", "--qaoa-cap", "5"],
+        ["bench", "--backend", "qaoa"],
     ],
     ids=[
         "generate-format", "reduce-format", "qaoa-format", "bench-format",
         "stats-brute-cap", "solve-jobs", "solve-caps",
+        "bench-depth", "bench-qaoa-cap", "bench-backend-qaoa",
     ],
 )
 def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # a refused flag is unrecognized; a refused value of a kept flag is not a choice
+    expected = "invalid choice" if argv[-1] == "qaoa" else "unrecognized arguments"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -452,6 +498,26 @@ def test_cap_flags_are_read(argv, message, tmp_path, capsys, monkeypatch):
     rc, _, stderr = run_cli(capsys, *argv, "--graph", str(path))
     assert rc == 2
     assert stderr.startswith("error:") and message in stderr
+
+
+def test_readme_flag_table_matches_parser():
+    # the "## Command line" table lists each subcommand's shared flags
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        name: set(re.findall(r"`(--[a-z-]+)", flags))
+        for name, flags in re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    }
+    shared = {"--seed"} | {f"--{name}" for name in _SHARED_FLAGS}
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    registered = {
+        name: {flag for action in sub._actions for flag in action.option_strings} & shared
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == registered
 
 
 def test_version_flag(capsys):

@@ -41,6 +41,13 @@ def test_graph_validation():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(ParameterError):
         Graph(3, ((0, 1),), weights=(1.0, 2.0))
+    # indices must be integers: int() would truncate these to (0, 1) and 3
+    with pytest.raises(ParameterError, match="must be an integer"):
+        Graph(3, ((0.5, 1.7),))
+    with pytest.raises(ParameterError, match="must be an integer"):
+        Graph(3.5, ((0, 1),))
+    g = Graph(np.int64(3), np.array([[2, 0]]))
+    assert g.num_vertices == 3 and g.edges == ((0, 2),)
 
 
 def test_graph_rejects_bad_weights(tmp_path):

@@ -197,6 +197,27 @@ def test_out_of_range_variable_rejected():
         PuboPolynomial(-1)
 
 
+@pytest.mark.parametrize(
+    "num_vars, term",
+    [(3.9, [0, 2]), (3, [0.7, 2]), (3, [0, "2"]), (3, [True]), (True, [0])],
+    ids=["float-num-vars", "float-var", "string-var", "bool-var", "bool-num-vars"],
+)
+def test_non_integer_indices_rejected(num_vars, term):
+    # int() would truncate 3.9 and 0.7 and read "2" and True as indices
+    with pytest.raises(ParameterError, match="must be an integer"):
+        PuboPolynomial.from_json_dict(
+            {"num_vars": num_vars, "terms": [{"vars": term, "coeff": 1.0}]}
+        )
+    with pytest.raises(ParameterError, match="must be an integer"):
+        PuboPolynomial(num_vars, [(term, 1.0)])
+
+
+def test_numpy_integer_indices_accepted():
+    p = PuboPolynomial(np.int64(3), [(np.array([2, 0]), 1.0), ((np.int32(1),), 2.0)])
+    assert p == PuboPolynomial(3, {(0, 2): 1.0, (1,): 2.0})
+    assert all(type(i) is int for term in p.terms for i in term)
+
+
 def test_energy_table_matches_pointwise_evaluation():
     rng = np.random.default_rng(24)
     for trial in range(10):

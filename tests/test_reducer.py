@@ -381,7 +381,7 @@ def test_reduced_instance_round_trip(tmp_path):
 def test_reduced_instance_json_checks_var_map():
     base = {"num_vars": 2, "terms": [], "num_original_vars": 3, "mode": "exact"}
     assert ReducedInstance.from_json_dict({**base, "var_map": [2, 0]}).var_map == (2, 0)
-    for var_map in ([0], [0, 1, 2], [1, 1], [0, 3], [-1, 0]):
+    for var_map in ([0], [0, 1, 2], [1, 1], [0, 3], [-1, 0], [0.2, 1.9], [True, 0]):
         with pytest.raises(ParameterError, match="var_map"):
             ReducedInstance.from_json_dict({**base, "var_map": var_map})
 

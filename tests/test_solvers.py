@@ -194,6 +194,10 @@ def test_pipeline_config_validation():
         PipelineConfig(mode="fast")
     with pytest.raises(ParameterError):
         PipelineConfig(backend="quantum")
+    # a solver command goes with backend wcnf, and only with it
+    for backend, solver_cmd in (("wcnf", None), ("oracle", "maxsat"), ("qaoa", "maxsat")):
+        with pytest.raises(ParameterError, match="solver command"):
+            PipelineConfig(backend=backend, solver_cmd=solver_cmd)
 
 
 def test_pipeline_exact_matches_brute_force():
@@ -303,23 +307,18 @@ def test_pipeline_qaoa_comparison_fails_as_its_own_step():
     assert isinstance(info.value.cause, ResourceLimitError)
 
 
-def test_pipeline_wcnf_backend_falls_back_to_oracle():
-    g = random_regular(12, 3, seed=3)
-    cfg = PipelineConfig(
-        mode="exact", backend="wcnf", seed=3,
-        solver_cmd="/no/such/solver", fallback_to_oracle=True,
-    )
-    report = classical_pipeline(g, cfg)
-    assert report.e_min_reduced == report.e_min_original
+def test_pipeline_wcnf_failure_within_brute_cap_is_an_error(monkeypatch):
+    # the reduced instance fits brute_cap, yet the oracle does not stand in
+    g = random_regular(12, 3, seed=1)
+    calls = []
+    monkeypatch.setattr(solvers, "brute_force_min", lambda *a: calls.append(a))
+    cfg = PipelineConfig(backend="wcnf", solver_cmd="/no/such/solver", seed=1)
     with pytest.raises(PipelineStepError) as info:
-        classical_pipeline(
-            g,
-            PipelineConfig(
-                mode="exact", backend="wcnf", seed=3,
-                solver_cmd="/no/such/solver", fallback_to_oracle=False,
-            ),
-        )
+        classical_pipeline(g, cfg)
     assert info.value.step == "solve"
+    assert isinstance(info.value.cause, ExternalSolverError)
+    assert info.value.__cause__ is info.value.cause
+    assert calls == []
 
 
 def test_pipeline_wcnf_failure_above_brute_cap_is_not_masked():

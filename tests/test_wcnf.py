@@ -374,7 +374,7 @@ def test_solver_variable_out_of_range(tmp_path):
 def test_pipeline_with_mock_solver(solver_cmd):
     g = random_regular(12, 3, seed=6)
     cfg_sat = PipelineConfig(mode="exact", backend="wcnf", seed=6,
-                             solver_cmd=solver_cmd, fallback_to_oracle=False)
+                             solver_cmd=solver_cmd)
     cfg_ref = PipelineConfig(mode="exact", backend="oracle", seed=6)
     via_sat = classical_pipeline(g, cfg_sat)
     via_oracle = classical_pipeline(g, cfg_ref)
