@@ -67,7 +67,6 @@ from .solvers import (
     classical_pipeline,
 )
 from .wcnf import (
-    ExternalSolveResult,
     WcnfInstance,
     parse_wcnf,
     pubo_to_wcnf,

@@ -90,9 +90,12 @@ def _pipeline_flags(parser: argparse.ArgumentParser, backends, *names: str) -> N
 
 
 def _make_graph(args, seed: int | None = None) -> Graph:
-    """The graph named by ``--graph``, or a random one of ``--n`` vertices
-    drawn with ``seed`` (default ``--seed``)."""
+    """The graph named by ``--graph``, which takes no generator flag, or a
+    random one of ``--n`` vertices drawn with ``seed`` (default ``--seed``)."""
     if args.graph is not None:
+        extra = [f"--{f}" for f in ("n", "kind", "k", "p") if getattr(args, f) is not None]
+        if extra:
+            raise ParameterError(f"--graph takes no generator flags; drop {' '.join(extra)}")
         return read_graph(args.graph)
     if args.kind is None:
         raise ParameterError("give --graph FILE or --kind with --n")
@@ -238,18 +241,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_qaoa(args) -> int:
-    if args.input is not None:
-        poly = PuboPolynomial.load(args.input)
+    if args.poly is not None:
+        poly = PuboPolynomial.load(args.poly)
     elif args.graph is not None:
         poly = maxcut_to_qubo(read_graph(args.graph))
     else:
-        raise ParameterError("give --input POLY.json or --graph FILE")
+        raise ParameterError("give --poly POLY.json or --graph FILE")
     e_min = None
     if poly.num_vars <= min(args.brute_cap, args.qaoa_cap):
         e_min, _ = brute_force_min(poly, args.brute_cap)
     result = optimize(
         poly,
-        p=args.p,
+        p=args.depth,
         budget=args.budget,
         starts=args.starts,
         seed=args.seed,
@@ -261,7 +264,7 @@ def cmd_qaoa(args) -> int:
         lines += [f"{i},{value!r}" for i, value in enumerate(result.trace)]
         Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
-        "p": args.p,
+        "p": args.depth,
         "best_expectation": result.expectation,
         "e_min": e_min,
         "best_ratio": result.ratio,
@@ -366,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qaoa = sub.add_parser("qaoa", help="simulate QAOA on a polynomial or graph")
     _shared_flags(p_qaoa, "brute-cap", "qaoa-cap")
-    p_qaoa.add_argument("--input", default=None, help="polynomial JSON path")
+    p_qaoa.add_argument("--poly", default=None, help="polynomial JSON path")
     p_qaoa.add_argument("--graph", default=None, help="path to a graph file")
-    p_qaoa.add_argument("--p", type=int, default=DEFAULT_QAOA_DEPTH, help="circuit depth")
+    p_qaoa.add_argument("--depth", type=int, default=DEFAULT_QAOA_DEPTH, help="circuit depth")
     p_qaoa.add_argument("--budget", type=int, default=DEFAULT_QAOA_BUDGET)
     p_qaoa.add_argument("--starts", type=int, default=DEFAULT_QAOA_STARTS)
     p_qaoa.add_argument("--trace-out", default=None, help="per-eval CSV path")

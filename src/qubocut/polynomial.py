@@ -181,6 +181,11 @@ class PuboPolynomial:
             items = [(entry["vars"], entry["coeff"]) for entry in data["terms"]]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed polynomial JSON: {exc}") from exc
+        for variables, coeff in items:
+            if not isinstance(variables, list):
+                raise ParameterError(f"term vars must be a JSON array, got {variables!r}")
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+                raise ParameterError(f"term coeff must be a JSON number, got {coeff!r}")
         return cls(num_vars, items)
 
     def save(self, path) -> None:

@@ -28,7 +28,7 @@ from .reducer import (
 )
 # kept for the benchmark's tracer, which reads solvers._FULL_TABLE_LIMIT and solvers.quench
 from .polynomial import _FULL_TABLE_LIMIT; from .reducer import quench  # noqa: E702, F401
-from .wcnf import pubo_to_wcnf, run_external_solver
+from .wcnf import run_external_solver
 
 __all__ = [
     "solve",
@@ -63,7 +63,6 @@ class PipelineConfig:
     boundary_cap: int = DEFAULT_BOUNDARY_CAP
     brute_cap: int = DEFAULT_BRUTE_CAP
     solver_cmd: str | None = None
-    solver_timeout: float | None = None
     qaoa_depth: int = DEFAULT_QAOA_DEPTH
     qaoa_budget: int = DEFAULT_QAOA_BUDGET
     qaoa_starts: int = DEFAULT_QAOA_STARTS
@@ -177,17 +176,13 @@ def _qaoa_comparison(
     return info
 
 
-def solve(
-    poly: PuboPolynomial, solver_cmd=None, brute_cap: int = DEFAULT_BRUTE_CAP,
-    timeout: float | None = None,
-):
+def solve(poly: PuboPolynomial, solver_cmd=None, brute_cap: int = DEFAULT_BRUTE_CAP):
     """(minimum energy, argmin spins) of ``poly``: the external
     weighted-MaxSAT solver ``solver_cmd`` when one is given, else
     :func:`brute_force_min` under ``brute_cap``.  A failing solver raises;
     the oracle never stands in for it."""
     if solver_cmd is not None:
-        res = run_external_solver(pubo_to_wcnf(poly), solver_cmd, poly, timeout=timeout)
-        return res.energy, res.spins
+        return run_external_solver(poly, solver_cmd)
     return brute_force_min(poly, brute_cap)
 
 
@@ -245,9 +240,7 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     report.degree_histogram = instance.degree_histogram()
 
     with _step("solve", report):
-        e_reduced, reduced_spins = solve(
-            instance.poly, cfg.solver_cmd, cfg.brute_cap, cfg.solver_timeout
-        )
+        e_reduced, reduced_spins = solve(instance.poly, cfg.solver_cmd, cfg.brute_cap)
         lifted = lift_solution(instance, reduced_spins)
         report.e_min_reduced = float(e_reduced)
         report.lifted_spins = lifted.tolist()

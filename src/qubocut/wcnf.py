@@ -1,4 +1,4 @@
-"""PUBO to weighted MaxSAT, DIMACS WCNF files, and an external-solver adapter.
+"""PUBO to weighted MaxSAT, DIMACS WCNF text, and an external-solver adapter.
 
 A term ``c * s_{i1}..s_{ik}`` is compiled to the ``2**(k-1)`` clauses of ``k``
 literals whose violating assignments are exactly the spin patterns on which
@@ -30,7 +30,6 @@ from .polynomial import PuboPolynomial
 
 __all__ = [
     "WcnfInstance",
-    "ExternalSolveResult",
     "pubo_to_wcnf",
     "write_wcnf",
     "parse_wcnf",
@@ -119,8 +118,8 @@ def pubo_to_wcnf(poly: PuboPolynomial) -> WcnfInstance:
     return WcnfInstance(poly.num_vars, tuple(clauses), float(offset), scale)
 
 
-def write_wcnf(instance: WcnfInstance, path=None) -> str:
-    """Serialize to DIMACS WCNF; returns the text, optionally writing a file.
+def write_wcnf(instance: WcnfInstance) -> str:
+    """Serialize to DIMACS WCNF text.
 
     The header top weight is one more than the sum of all clause weights.
     Offset and scale ride along as comment lines so parsing round-trips.
@@ -133,32 +132,17 @@ def write_wcnf(instance: WcnfInstance, path=None) -> str:
     ]
     for weight, literals in instance.clauses:
         lines.append(f"{weight} {' '.join(str(l) for l in literals)} 0")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def parse_wcnf(source) -> WcnfInstance:
-    """Parse DIMACS WCNF text (or a path to it).
-
-    A :class:`~pathlib.Path` is always read as a file.  A string is text when
-    it spans several lines or its first token is a ``p`` or ``c`` line marker,
-    and a file path otherwise.
-    """
-    text = source
-    if isinstance(source, Path) or (
-        isinstance(source, str)
-        and "\n" not in source
-        and source.split(maxsplit=1)[:1] not in (["p"], ["c"])
-    ):
-        text = Path(source).read_text(encoding="utf-8")
+def parse_wcnf(text: str) -> WcnfInstance:
+    """Parse DIMACS WCNF text; it is never read as a file name."""
     num_vars = None
     declared = None
     offset = 0.0
     scale = 1
     clauses: list[tuple[int, tuple[int, ...]]] = []
-    for ln in str(text).splitlines():
+    for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
@@ -195,30 +179,19 @@ def parse_wcnf(source) -> WcnfInstance:
     return WcnfInstance(num_vars, tuple(clauses), offset, scale)
 
 
-@dataclass(frozen=True)
-class ExternalSolveResult:
-    """Solver-reported optimum mapped back to spins and energy."""
-
-    energy: float
-    spins: np.ndarray
-    satisfied_weight: int
-    falsified_cost: int
-
-
 def run_external_solver(
-    instance: WcnfInstance,
-    command,
-    poly: PuboPolynomial,
-    timeout: float | None = None,
-) -> ExternalSolveResult:
-    """Run a MaxSAT solver on the instance and validate its answer.
+    poly: PuboPolynomial, command, timeout: float | None = None
+) -> tuple[float, np.ndarray]:
+    """(minimum energy, argmin spins) of ``poly`` from a MaxSAT solver.
 
-    ``command`` (string or argv list) is invoked with the path of a temporary
-    WCNF file appended.  Output is expected in MaxSAT-evaluation style: the
-    last ``o <cost>`` line is the falsified-weight optimum and ``v`` lines
-    carry the assignment as signed literals.  The reported optimum is checked
-    against re-evaluating ``poly`` on the decoded spins.
+    ``poly`` is encoded with :func:`pubo_to_wcnf`, and ``command`` (string or
+    argv list) is invoked with the path of a temporary WCNF file appended.
+    Output is expected in MaxSAT-evaluation style: the last ``o <cost>`` line
+    is the falsified-weight optimum and ``v`` lines carry the assignment as
+    signed literals.  The reported optimum is checked against re-evaluating
+    ``poly`` on the decoded spins.
     """
+    instance = pubo_to_wcnf(poly)
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     with tempfile.NamedTemporaryFile("w", suffix=".wcnf", delete=False) as fh:
         fh.write(write_wcnf(instance))
@@ -285,9 +258,4 @@ def run_external_solver(
         raise SolverIntegrityError(
             f"solver-reported optimum {energy} disagrees with re-evaluation {check}"
         )
-    return ExternalSolveResult(
-        energy=float(check),
-        spins=spins,
-        satisfied_weight=satisfied,
-        falsified_cost=cost,
-    )
+    return float(check), spins

@@ -275,6 +275,38 @@ def test_solve_rejects_non_integer_index(tmp_path, capsys, term):
     assert "must be an integer" in stderr
 
 
+@pytest.mark.parametrize(
+    "term",
+    ['{"vars": 5, "coeff": 1.0}', '{"vars": [0], "coeff": [1]}',
+     '{"vars": [0], "coeff": null}', '{"vars": [0], "coeff": true}',
+     '{"vars": [0], "coeff": "1.5"}'],
+    ids=["int-vars", "list-coeff", "null-coeff", "bool-coeff", "string-coeff"],
+)
+def test_solve_rejects_malformed_term(tmp_path, capsys, term):
+    path = tmp_path / "poly.json"
+    path.write_text('{"num_vars": 2, "terms": [%s]}' % term)
+    rc, stdout, stderr = run_cli(capsys, "solve", "--poly", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["solve", "--n", "7"], "--n"),
+        (["reduce", "--kind", "er", "--p", "0.5"], "--kind --p"),
+        (["pipeline", "--k", "5", "--format", "csv"], "--k"),
+    ],
+    ids=["solve-n", "reduce-kind-p", "pipeline-k"],
+)
+def test_graph_file_refuses_generator_flags(graph_file, capsys, argv, extra):
+    rc, stdout, stderr = run_cli(capsys, *argv, "--graph", graph_file)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and f"drop {extra}" in stderr
+
+
 def test_solve_without_inputs_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "solve")
     assert rc == 2
@@ -288,7 +320,7 @@ def test_solve_without_inputs_is_an_error(capsys):
 def test_qaoa_payload_and_trace(graph_file, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     rc, stdout, _ = run_cli(
-        capsys, "qaoa", "--graph", graph_file, "--p", "1", "--budget", "60",
+        capsys, "qaoa", "--graph", graph_file, "--depth", "1", "--budget", "60",
         "--starts", "2", "--seed", "3", "--trace-out", str(trace),
     )
     assert rc == 0
@@ -311,7 +343,7 @@ def test_qaoa_polynomial_input(tmp_path, capsys):
     path = tmp_path / "poly.json"
     poly.save(path)
     rc, stdout, _ = run_cli(
-        capsys, "qaoa", "--input", str(path), "--p", "0", "--budget", "4",
+        capsys, "qaoa", "--poly", str(path), "--depth", "0", "--budget", "4",
         "--starts", "1",
     )
     assert rc == 0
@@ -323,7 +355,7 @@ def test_qaoa_polynomial_input(tmp_path, capsys):
 def test_qaoa_requires_input_or_graph(capsys):
     rc, _, stderr = run_cli(capsys, "qaoa")
     assert rc == 2
-    assert "give --input" in stderr
+    assert "give --poly" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -196,14 +196,13 @@ def test_round_trip_identity():
     assert write_wcnf(again) == write_wcnf(inst)
 
 
-def test_round_trip_through_file(tmp_path):
-    poly = maxcut_to_qubo(random_regular(6, 3, seed=4))
-    inst = pubo_to_wcnf(poly)
+def test_parse_never_reads_a_file(tmp_path):
+    # a file name is parsed as WCNF text, which it is not
     path = tmp_path / "inst.wcnf"
-    text = write_wcnf(inst, path)
-    assert path.read_text(encoding="utf-8") == text
-    assert parse_wcnf(path) == inst
-    assert parse_wcnf(str(path)) == inst
+    inst = pubo_to_wcnf(PuboPolynomial(2, {(0, 1): 1.0}))
+    path.write_text(write_wcnf(inst), encoding="utf-8")
+    with pytest.raises(ParameterError, match="clause before problem line"):
+        parse_wcnf(str(path))
 
 
 def test_parse_single_line_text():
@@ -283,47 +282,42 @@ def solver_cmd(tmp_path):
 
 def test_external_solver_single_edge(solver_cmd):
     poly = maxcut_to_qubo(random_regular(2, 1, seed=0))
-    inst = pubo_to_wcnf(poly)
-    result = run_external_solver(inst, solver_cmd, poly)
-    assert result.energy == -1.0
-    assert result.falsified_cost == 0
-    assert result.satisfied_weight == inst.total_weight()
-    assert result.spins[0] * result.spins[1] == -1
+    energy, spins = run_external_solver(poly, solver_cmd)
+    assert type(energy) is float and spins.dtype == np.int8
+    assert energy == -1.0
+    assert spins[0] * spins[1] == -1
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_external_solver_matches_enumeration(solver_cmd, seed):
     rng = np.random.default_rng(seed)
     poly = _random_int_poly(rng, num_vars=6, num_terms=9, max_deg=3)
-    inst = pubo_to_wcnf(poly)
-    result = run_external_solver(inst, solver_cmd, poly)
+    energy, spins = run_external_solver(poly, solver_cmd)
     e_min, witness = enumerate_min(poly)
-    assert result.energy == e_min
-    assert np.array_equal(result.spins, witness)
-    assert result.satisfied_weight == inst.satisfied_weight(result.spins)
+    assert energy == e_min
+    assert np.array_equal(spins, witness)
 
 
 def test_external_solver_string_command(tmp_path):
     cmd = _script_cmd(tmp_path, EXHAUSTIVE_SOLVER)
     poly = maxcut_to_qubo(random_regular(4, 3, seed=1))
-    inst = pubo_to_wcnf(poly)
-    result = run_external_solver(inst, shlex.join(cmd), poly)
+    energy, _ = run_external_solver(poly, shlex.join(cmd))
     e_min, _ = enumerate_min(poly)
-    assert result.energy == e_min
+    assert energy == e_min
 
 
 def test_missing_assignment_defaults_to_plus(tmp_path):
     cmd = _script_cmd(tmp_path, 'print("o 0")\nprint("v -1 0")\n')
     poly = PuboPolynomial(2, {(0, 1): 1.0})
-    result = run_external_solver(pubo_to_wcnf(poly), cmd, poly)
-    assert list(result.spins) == [-1, 1]
-    assert result.energy == -1.0
+    energy, spins = run_external_solver(poly, cmd)
+    assert list(spins) == [-1, 1]
+    assert energy == -1.0
 
 
 def test_solver_not_found():
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="solver not found"):
-        run_external_solver(pubo_to_wcnf(poly), ["/no/such/solver"], poly)
+        run_external_solver(poly, ["/no/such/solver"])
 
 
 def test_solver_bad_exit(tmp_path):
@@ -332,7 +326,7 @@ def test_solver_bad_exit(tmp_path):
     )
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="status 3") as excinfo:
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly)
+        run_external_solver(poly, cmd)
     assert "boom" in excinfo.value.raw_output
 
 
@@ -340,35 +334,35 @@ def test_solver_lying_about_optimum(tmp_path):
     cmd = _script_cmd(tmp_path, 'print("o 0")\nprint("v 1 2 0")\n')
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(SolverIntegrityError):
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly)
+        run_external_solver(poly, cmd)
 
 
 def test_solver_output_without_o_or_v(tmp_path):
     cmd = _script_cmd(tmp_path, 'print("hello")\n')
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="lacks"):
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly)
+        run_external_solver(poly, cmd)
 
 
 def test_solver_timeout(tmp_path):
     cmd = _script_cmd(tmp_path, "import time\ntime.sleep(10)\n")
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="timed out"):
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly, timeout=0.3)
+        run_external_solver(poly, cmd, timeout=0.3)
 
 
 def test_solver_bad_assignment_token(tmp_path):
     cmd = _script_cmd(tmp_path, 'print("o 0")\nprint("v x1 0")\n')
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="unparseable assignment"):
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly)
+        run_external_solver(poly, cmd)
 
 
 def test_solver_variable_out_of_range(tmp_path):
     cmd = _script_cmd(tmp_path, 'print("o 0")\nprint("v 1 2 99 0")\n')
     poly = PuboPolynomial(2, {(0, 1): 1.0})
     with pytest.raises(ExternalSolverError, match="names variable 99"):
-        run_external_solver(pubo_to_wcnf(poly), cmd, poly)
+        run_external_solver(poly, cmd)
 
 
 def test_pipeline_with_mock_solver(solver_cmd):
