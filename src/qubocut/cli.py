@@ -93,7 +93,7 @@ def _make_graph(args, seed: int | None = None) -> Graph:
     """The graph named by ``--graph``, which takes no generator flag, or a
     random one of ``--n`` vertices drawn with ``seed`` (default ``--seed``)."""
     if args.graph is not None:
-        extra = [f"--{f}" for f in ("n", "kind", "k", "p") if getattr(args, f) is not None]
+        extra = _given(args, "n", "kind", "k", "p")
         if extra:
             raise ParameterError(f"--graph takes no generator flags; drop {' '.join(extra)}")
         return read_graph(args.graph)
@@ -127,8 +127,19 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     _add_generator_flags(parser)
 
 
+def _given(args, *flags: str) -> list[str]:
+    """The named flags that were given, as ``--flag``; a flag the subcommand
+    does not register counts as not given."""
+    return [f"--{f}" for f in flags if getattr(args, f, None) is not None]
+
+
 def _load_poly(args) -> PuboPolynomial:
+    """The polynomial in ``--poly``, which takes no graph flag, or the MaxCut
+    QUBO of the graph that :func:`_make_graph` reads or draws."""
     if args.poly is not None:
+        extra = _given(args, "graph", "n", "kind", "k", "p")
+        if extra:
+            raise ParameterError(f"--poly takes no graph flags; drop {' '.join(extra)}")
         return PuboPolynomial.load(args.poly)
     return maxcut_to_qubo(_make_graph(args))
 
@@ -241,12 +252,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_qaoa(args) -> int:
-    if args.poly is not None:
-        poly = PuboPolynomial.load(args.poly)
-    elif args.graph is not None:
-        poly = maxcut_to_qubo(read_graph(args.graph))
-    else:
+    if args.poly is None and args.graph is None:
         raise ParameterError("give --poly POLY.json or --graph FILE")
+    poly = _load_poly(args)
     e_min = None
     if poly.num_vars <= min(args.brute_cap, args.qaoa_cap):
         e_min, _ = brute_force_min(poly, args.brute_cap)

@@ -307,6 +307,27 @@ def test_graph_file_refuses_generator_flags(graph_file, capsys, argv, extra):
     assert stderr.startswith("error:") and f"drop {extra}" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["solve", "--graph", "GRAPH"], "--graph"),
+        (["solve", "--n", "12"], "--n"),
+        (["solve", "--kind", "regular", "--n", "12", "--k", "3"], "--n --kind --k"),
+        (["solve", "--kind", "er", "--p", "0.5", "--format", "csv"], "--kind --p"),
+        (["qaoa", "--graph", "GRAPH", "--budget", "10"], "--graph"),
+    ],
+    ids=["solve-graph", "solve-n", "solve-regular", "solve-er", "qaoa-graph"],
+)
+def test_poly_refuses_graph_flags(graph_file, tmp_path, capsys, argv, extra):
+    path = tmp_path / "poly.json"
+    PuboPolynomial(2, [((0, 1), 1.0)]).save(path)
+    argv = [graph_file if arg == "GRAPH" else arg for arg in argv]
+    rc, stdout, stderr = run_cli(capsys, *argv, "--poly", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and f"drop {extra}" in stderr
+
+
 def test_solve_without_inputs_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "solve")
     assert rc == 2

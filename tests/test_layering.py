@@ -23,3 +23,32 @@ def test_no_relative_import_inside_a_function():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert found == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Modules of this package that ``path`` imports, relative or absolute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                parts = node.module.split(".") if node.module else []
+                found.update(parts[:1] or [alias.name for alias in node.names])
+            elif node.module and node.module.split(".")[0] == "qubocut":
+                parts = node.module.split(".")[1:]
+                found.update(parts[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("qubocut.")
+            )
+    return found
+
+
+def test_polynomial_imports_only_the_kernels():
+    # the exhaustive minimiser that quench, lifting and the pipeline share
+    # sits below them: no import of solvers, reducer, community, qaoa or cli
+    path = Path(qubocut.__file__).parent / "polynomial.py"
+    assert _package_imports(path) <= {"bitops", "errors", "wht"}
+    assert _package_imports(Path(qubocut.__file__).parent / "solvers.py") >= {"polynomial"}

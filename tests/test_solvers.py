@@ -81,8 +81,8 @@ def test_maxcut_minimum_is_doubly_degenerate():
 
 
 def test_large_instance_chunked_path_embedding():
-    # 12-variable problems embedded in 23 and 25 variables take the blocked
-    # path; unused variables resolve to +1 by mask order
+    # 12-variable problems embedded in 23 and 25 variables are eliminated
+    # down to 12; unused variables resolve to +1 by mask order
     g = random_regular(12, 3, seed=53)
     unit = maxcut_to_qubo(g)
     rng = np.random.default_rng(53)
@@ -174,6 +174,100 @@ def test_blocked_minimum_stays_small(monkeypatch):
     assert peak < 8 * 2**20
     assert products and max(products) <= 64**3
     assert poly.evaluate(spins) == energy
+
+
+@st.composite
+def _with_isolated_variables(draw):
+    """A `_polynomials()` draw spread over one or two more variables that no
+    term touches, at drawn positions, so isolated variables sit between the
+    others; at most 12 variables in all."""
+    poly = draw(_polynomials())
+    n = poly.num_vars + draw(st.integers(1, 2))
+    slots = sorted(draw(st.permutations(range(n)))[: poly.num_vars])
+    return PuboPolynomial(
+        n, [(tuple(slots[i] for i in term), c) for term, c in poly.terms.items()]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=st.one_of(_polynomials(), _with_isolated_variables()))
+def test_eliminated_minimum_matches_enumeration(poly):
+    # with the full table at three variables and no size threshold, every
+    # polynomial above three variables is eliminated down to three
+    eliminated = []
+    eliminated_minimum = polynomial._eliminated_minimum
+
+    def spy(p, order):
+        eliminated.append(len(order))
+        return eliminated_minimum(p, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_FULL_TABLE_LIMIT", 3)
+        mp.setattr(polynomial, "_ELIMINATION_MIN_VARS", 0)
+        mp.setattr(polynomial, "_eliminated_minimum", spy)
+        energy, spins = brute_force_min(poly)
+    assert eliminated == ([poly.num_vars - 3] if poly.num_vars > 3 else [])
+    e_oracle, s_oracle = enumerate_min(poly)
+    assert energy == e_oracle
+    np.testing.assert_array_equal(spins, s_oracle)
+
+
+def _paths(monkeypatch):
+    """Record which of the two paths above the full table each call takes."""
+    taken = []
+    for name in ("_eliminated_minimum", "_energy_blocks"):
+        def spy(*args, _name=name, _fn=getattr(polynomial, name)):
+            taken.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(polynomial, name, spy)
+    return taken
+
+
+def test_wide_instance_keeps_the_blocked_path(monkeypatch):
+    # dense degree-3 terms over 22 variables: min-fill needs a bucket of more
+    # than 13 variables, so the blocked products run, as small as before
+    rng = np.random.default_rng(22)
+    poly = PuboPolynomial(
+        22,
+        [(tuple(rng.choice(22, size=3, replace=False)), int(rng.integers(-4, 5)) / 4)
+         for _ in range(100)],
+    )
+    assert polynomial._min_fill_order(poly) is None
+    taken = _paths(monkeypatch)
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    tracemalloc.start()
+    try:
+        energy, spins = brute_force_min(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["_energy_blocks"]
+    assert peak < 8 * 2**20
+    assert products and max(products) <= 64**3
+    assert poly.evaluate(spins) == energy
+
+
+@pytest.mark.parametrize("n", [24, 26])
+def test_regular_maxcut_takes_elimination(monkeypatch, n):
+    # narrow 3-regular graphs are eliminated; the blocked path, forced by
+    # raising the size threshold, gives the same energy bits and witness
+    poly = maxcut_to_qubo(random_regular(n, 3, seed=n))
+    taken = _paths(monkeypatch)
+    energy, spins = brute_force_min(poly)
+    assert taken == ["_eliminated_minimum"]
+    monkeypatch.setattr(polynomial, "_ELIMINATION_MIN_VARS", n + 1)
+    e_blocked, s_blocked = brute_force_min(poly)
+    assert taken == ["_eliminated_minimum", "_energy_blocks"]
+    assert float.hex(energy) == float.hex(e_blocked)
+    np.testing.assert_array_equal(spins, s_blocked)
 
 
 def test_large_instance_unique_linear_minimum():
