@@ -4,7 +4,9 @@ Throughout the package an assignment of ``n`` spins is indexed by an integer
 mask in ``[0, 2**n)``: variable ``i`` occupies bit ``n - 1 - i`` (the spin
 string read left to right), and a set bit means spin ``-1``.  The all-plus
 assignment is mask 0, so breaking ties toward the lowest mask prefers ``+1``
-on low-index variables.
+on low-index variables.  The helpers here convert one assignment or term at
+a time; a walk over all ``2**n`` assignments in mask order needs no decoding,
+since ``itertools.product((1, -1), repeat=n)`` yields them in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .errors import DimensionError, ParameterError
 
 __all__ = [
     "index_to_spins",
-    "masks_to_spins",
     "spins_to_index",
     "term_to_index",
     "index_to_term",
@@ -29,15 +30,8 @@ def index_to_spins(mask: int, n: int) -> np.ndarray:
         raise ParameterError(f"n must be nonnegative, got {n}")
     if not 0 <= mask < (1 << n):
         raise ParameterError(f"mask {mask} out of range for {n} variables")
-    return masks_to_spins(mask, n)
-
-
-def masks_to_spins(masks, n: int) -> np.ndarray:
-    """Decode an array of in-range masks at once: int8 spins along a new
-    trailing axis of length ``n``, so ``masks_to_spins(np.arange(2**n), n)``
-    lists every assignment in mask order."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    bits = (np.asarray(masks, dtype=np.uint64)[..., None] >> shifts) & np.uint64(1)
+    bits = (np.asarray(mask, dtype=np.uint64) >> shifts) & np.uint64(1)
     return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 

@@ -19,13 +19,14 @@ unconstrained optimum and keeps the reduced degree at most the input's).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bitops import as_spins, index_to_term, masks_to_spins
+from .bitops import as_spins, index_to_term
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial, _index, _minimum, brute_force_min
@@ -148,7 +149,8 @@ def split_energy(
     subinstance in local variables (boundary first).  Every other term, the
     constant included, goes to the across polynomial over original global
     indices, and each of its variables must be a boundary variable.  Terms
-    keep their degree, so no part has a higher degree than ``poly``.
+    keep their degree, so no part has a higher degree than ``poly``.  Both
+    parts come from ``poly``'s canonical terms, so they skip validation.
     """
     member = assignment.membership.tolist()
     if len(member) != poly.num_vars:
@@ -172,8 +174,9 @@ def split_energy(
     for term, coeff in poly.terms.items():
         communities = {member[v] for v in term}
         if len(communities) == 1:
+            # boundary-first locals are not monotone in the global indices
             intra_terms[communities.pop()].append(
-                (tuple(local_index[v] for v in term), coeff)
+                (tuple(sorted(local_index[v] for v in term)), coeff)
             )
         elif all(is_boundary[v] for v in term):
             across_terms.append((term, coeff))
@@ -182,17 +185,15 @@ def split_energy(
                 f"term {term} spans communities but has a core variable"
             )
 
-    subs = []
-    for c, (boundary, core) in enumerate(subs_vars):
-        subs.append(
-            CommunitySubinstance(
-                community=c,
-                boundary_vars=tuple(boundary),
-                core_vars=tuple(core),
-                intra=PuboPolynomial(len(boundary) + len(core), intra_terms[c]),
-            )
+    trusted = PuboPolynomial._from_canonical
+    subs = [
+        CommunitySubinstance(
+            c, tuple(boundary), tuple(core),
+            trusted(len(boundary) + len(core), intra_terms[c]),
         )
-    return subs, PuboPolynomial(poly.num_vars, across_terms)
+        for c, (boundary, core) in enumerate(subs_vars)
+    ]
+    return subs, trusted(poly.num_vars, across_terms)
 
 
 def quench(
@@ -201,23 +202,22 @@ def quench(
     """Minimize the community energy over its core for every boundary mask.
 
     Returns the float64 table of ``2**|B_c|`` minima indexed by boundary
-    mask.  Each mask pins the boundary spins with
+    mask, the only allocation of that size.  The boundary assignments are
+    walked in mask order, each pins the boundary spins with
     :meth:`PuboPolynomial.restrict`, and the remaining core polynomial is
     solved exactly by :func:`brute_force_min`'s exhaustive search under that
     solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
     """
-    if sub.num_boundary > boundary_cap:
-        raise ResourceLimitError(
-            f"community {sub.community}: |B_c|={sub.num_boundary} exceeds cap {boundary_cap}"
-        )
     nb = sub.num_boundary
-    size = 1 << nb
-    energies = np.empty(size, dtype=np.float64)
-    boundary_spins = masks_to_spins(np.arange(size), nb)
-    for mask in range(size):
-        pinned = dict(enumerate(boundary_spins[mask].tolist()))
-        energies[mask], _ = _minimum(sub.intra.restrict(pinned))
-    return energies
+    if nb > boundary_cap:
+        raise ResourceLimitError(
+            f"community {sub.community}: |B_c|={nb} exceeds cap {boundary_cap}"
+        )
+    minima = (
+        _minimum(sub.intra.restrict(dict(enumerate(spins))))[0]
+        for spins in itertools.product((1, -1), repeat=nb)
+    )
+    return np.fromiter(minima, dtype=np.float64, count=1 << nb)
 
 
 def table_to_polynomial(table) -> PuboPolynomial:
@@ -228,7 +228,9 @@ def table_to_polynomial(table) -> PuboPolynomial:
     over ``M`` spins whose energies reproduce it.  Coefficients are
     ``fwht(energies) / 2**M``, with entries below ``WHT_PRUNE_EPS *
     max|energies|`` in magnitude dropped, so pruning removes rounding noise
-    at any weight scale.
+    at any weight scale.  Every coefficient sums all entries, so a table
+    holding NaN or an infinity, or one whose transform overflows, gives a
+    non-finite coefficient and raises :class:`ParameterError`.
     """
     energies = np.asarray(table, dtype=np.float64)
     m = energies.size.bit_length() - 1
@@ -237,10 +239,12 @@ def table_to_polynomial(table) -> PuboPolynomial:
         # a zero threshold would keep, and decode, all 2**M zero coefficients
         return PuboPolynomial(m)
     coeffs = fwht(energies) / energies.size
+    if not np.isfinite(coeffs).all():
+        raise ParameterError("energy table or its transform is not finite")
     threshold = WHT_PRUNE_EPS * scale
     kept = np.flatnonzero(np.abs(coeffs) >= threshold)
     terms = [(index_to_term(int(t), m), float(coeffs[t])) for t in kept]
-    return PuboPolynomial(m, terms)
+    return PuboPolynomial._from_canonical(m, terms)
 
 
 def quench_communities(
@@ -275,8 +279,9 @@ def assemble_reduced(
 
     Each community's table or frozen core becomes a polynomial over its
     boundary spins.  Those polynomials and the across part are mapped to
-    reduced indices and summed in one construction, across terms first and
-    then the communities in order.
+    reduced indices and summed in one trusted construction, across terms
+    first and then the communities in order; ``var_map`` ascends, so every
+    mapped term stays sorted.
     """
     var_map = tuple(int(v) for v in assignment.global_boundary())
     to_reduced = {v: j for j, v in enumerate(var_map)}
@@ -292,7 +297,7 @@ def assemble_reduced(
         reduced_of = [to_reduced[v] for v in sub.boundary_vars]
         terms += [(tuple(reduced_of[j] for j in t), c) for t, c in bp.terms.items()]
     return ReducedInstance(
-        poly=PuboPolynomial(len(var_map), terms),
+        poly=PuboPolynomial._from_canonical(len(var_map), terms),
         var_map=var_map,
         num_original_vars=across.num_vars,
         mode=mode,
@@ -339,10 +344,9 @@ def lift_solution(instance: ReducedInstance, boundary_spins) -> np.ndarray:
             "this reduced instance carries no lifting data (loaded from JSON?)"
         )
     b = as_spins(boundary_spins, len(instance.var_map))
-    to_reduced = {v: j for j, v in enumerate(instance.var_map)}
     full = np.zeros(instance.num_original_vars, dtype=np.int8)
     full[list(instance.var_map)] = b
     for sub in instance.subinstances:
-        pinned = {j: int(b[to_reduced[v]]) for j, v in enumerate(sub.boundary_vars)}
+        pinned = dict(enumerate(full[list(sub.boundary_vars)].tolist()))
         full[list(sub.core_vars)] = brute_force_min(sub.intra.restrict(pinned))[1]
     return full

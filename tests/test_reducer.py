@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_quench_matches_naive_per_mask_quench():
             np.testing.assert_array_equal(quench(sub), energies)
 
 
+def test_quench_memory_is_its_table():
+    # |B_c| = 12 with a 2-variable core: a 32 KB table and nothing of its size besides
+    nb = 12
+    terms = [((i, i + 1), 1.0) for i in range(nb + 1)] + [((0, nb, nb + 1), -0.5)]
+    sub = CommunitySubinstance(0, tuple(range(nb)), (nb, nb + 1), PuboPolynomial(nb + 2, terms))
+    quench(CommunitySubinstance(0, (0,), (1, 2), PuboPolynomial(3, terms[:2])))  # warm caches
+    tracemalloc.start()
+    try:
+        table = quench(sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 << nb
+    assert peak < 4 * table.nbytes
+
+
 def test_quench_boundary_cap():
     intra = PuboPolynomial(3, [((0, 1), 1.0)])
     sub = CommunitySubinstance(5, (0, 1, 2), (), intra)
@@ -222,6 +239,22 @@ def test_table_to_polynomial_prunes_tiny_coefficients():
 def test_table_to_polynomial_rejects_bad_length():
     with pytest.raises(DimensionError):
         table_to_polynomial(np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [np.nan, 0.0],
+        [0.0, 1.0, np.nan, 2.0],
+        [np.inf, 0.0],
+        [0.0, -np.inf],
+        pytest.param([1e308, 1e308], marks=pytest.mark.filterwarnings("ignore:overflow")),
+    ],
+)
+def test_table_to_polynomial_rejects_non_finite_tables(table):
+    # NaN fails every prune comparison, so it must not pass as an empty polynomial
+    with pytest.raises(ParameterError):
+        table_to_polynomial(np.array(table))
 
 
 def test_reduce_exact_single_community_constant():
@@ -486,3 +519,18 @@ def test_lift_gives_the_lowest_mask_quench_core_in_both_modes(case):
                     lifted[list(sub.core_vars)], cores[argmins[bmask]]
                 )
         assert poly.evaluate(lifts[0]) == exact.poly.evaluate(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_pubos_with_partitions())
+def test_trusted_builders_match_the_validating_constructor(case):
+    # energies do not depend on the order inside a term, so compare the items
+    # themselves, key order included
+    poly, ca = case
+    subs, across = split_energy(poly, ca)
+    built = [across] + [sub.intra for sub in subs]
+    built += [table_to_polynomial(quench(sub)) for sub in subs]
+    built += [reduce_exact(poly, ca).poly, reduce_core_fixed(poly, ca).poly]
+    for p in built:
+        items = list(p.terms.items())
+        assert items == list(PuboPolynomial(p.num_vars, items).terms.items())
