@@ -252,8 +252,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_qaoa(args) -> int:
-    if args.poly is None and args.graph is None:
-        raise ParameterError("give --poly POLY.json or --graph FILE")
     poly = _load_poly(args)
     e_min = None
     if poly.num_vars <= min(args.brute_cap, args.qaoa_cap):
@@ -376,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_qaoa = sub.add_parser("qaoa", help="simulate QAOA on a polynomial or graph")
+    _add_graph_source(p_qaoa)
     _shared_flags(p_qaoa, "brute-cap", "qaoa-cap")
     p_qaoa.add_argument("--poly", default=None, help="polynomial JSON path")
-    p_qaoa.add_argument("--graph", default=None, help="path to a graph file")
     p_qaoa.add_argument("--depth", type=int, default=DEFAULT_QAOA_DEPTH, help="circuit depth")
     p_qaoa.add_argument("--budget", type=int, default=DEFAULT_QAOA_BUDGET)
     p_qaoa.add_argument("--starts", type=int, default=DEFAULT_QAOA_STARTS)

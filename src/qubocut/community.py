@@ -117,7 +117,7 @@ def modularity(g: Graph, membership) -> float:
     return intra / m - sum((t / (2.0 * m)) ** 2 for t in tot.values())
 
 
-def _local_moves(adj, strength, m2, membership, rng) -> bool:
+def _local_moves(adj, strength, m2, membership, rng) -> None:
     """One level of modularity local search; strict improvements only.
 
     ``membership`` is a list, updated in place.  Vertices are scanned in a
@@ -130,7 +130,6 @@ def _local_moves(adj, strength, m2, membership, rng) -> bool:
     tot = [0.0] * n
     for v in range(n):
         tot[membership[v]] += strength[v]
-    moved_any = False
     for _ in range(_MAX_LOCAL_PASSES):
         moves = 0
         for v in rng.permutation(n).tolist():
@@ -156,8 +155,6 @@ def _local_moves(adj, strength, m2, membership, rng) -> bool:
                 moves += 1
         if moves == 0:
             break
-        moved_any = True
-    return moved_any
 
 
 def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
@@ -178,12 +175,11 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
 
     while True:
         level_member = list(range(level_n))
-        if not _local_moves(adj, strength, m2, level_member, rng):
-            break
+        _local_moves(adj, strength, m2, level_member, rng)
         k = _relabel_by_first_appearance(level_member)
-        global_member = np.array(level_member, dtype=np.int64)[global_member]
-        if k == level_n:
+        if k == level_n:  # from singletons, any move empties a community
             break
+        global_member = np.array(level_member, dtype=np.int64)[global_member]
         # contract communities to vertices; intra weight becomes a self-loop
         new_self = [0.0] * k
         cross: dict[tuple[int, int], float] = {}
@@ -212,96 +208,76 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
 
 
 def refine_boundary(
-    g: Graph,
-    assignment: CommunityAssignment,
-    seed: int = 0,
-    _audit: bool = False,
+    g: Graph, assignment: CommunityAssignment, seed: int = 0
 ) -> CommunityAssignment:
     """Greedy single-vertex relabeling that strictly decreases ``g``.
 
-    Each pass scans vertices in a fresh seeded order and applies the first
-    relabeling (to any other nonempty community) that strictly lowers the
-    score; boundary bookkeeping is updated incrementally.  Stops at the first
-    pass with no accepted move.  No new community ids are introduced; ids
-    emptied along the way are compacted in the returned assignment.
+    Each pass scans vertices in a fresh seeded order.  One scan of a vertex's
+    neighbours predicts ``|B|`` and the score after moving it to each other
+    nonempty community; the first target in ascending id order whose score
+    is strictly lower is taken, and its prediction becomes the new ``|B|``.
+    Stops at the first pass with no accepted move.  No new community ids are
+    introduced; ids emptied along the way are compacted in the returned
+    assignment.
     """
     n = g.num_vertices
-    if n == 0:
-        return assignment
+    if assignment.membership.shape != (n,):
+        raise ParameterError(
+            f"assignment covers {assignment.membership.size} vertices, graph has {n}"
+        )
     rng = np.random.default_rng(seed)
     membership = assignment.membership.tolist()
     k = assignment.num_communities
     sizes = np.bincount(membership, minlength=k).tolist()
     ext = _external_degree(g, membership).tolist()
     boundary_total = sum(e > 0 for e in ext)
-    score = max(boundary_total, max(sizes))
-
+    score = max(boundary_total, max(sizes, default=0))
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
 
-    while True:
+    accepted = True
+    while accepted:
         accepted = False
         for v in rng.permutation(n).tolist():
             a = membership[v]
-            counts: dict[int, int] = {}
+            largest_other = max(sizes[:a] + sizes[a + 1 :], default=0)
+            # inside[c]: neighbours in c; exposed: neighbours in a that join B
+            # when v leaves; freed[c]: neighbours in c that leave B when v joins
+            inside = [0] * k
+            freed = [0] * k
+            exposed = 0
             for u in neighbors[v]:
                 c = membership[u]
-                counts[c] = counts.get(c, 0) + 1
+                inside[c] += 1
+                if c == a:
+                    exposed += ext[u] == 0
+                elif ext[u] == 1:
+                    freed[c] += 1
             deg_v = len(neighbors[v])
+            kept = boundary_total + exposed - (ext[v] > 0)
             for b in range(k):
                 if b == a or sizes[b] == 0:
                     continue
-                cnt_b = counts.get(b, 0)
-                delta = (1 if deg_v - cnt_b > 0 else 0) - (1 if ext[v] > 0 else 0)
-                for u in neighbors[v]:
-                    cu = membership[u]
-                    if cu == a and ext[u] == 0:
-                        delta += 1
-                    elif cu == b and ext[u] == 1:
-                        delta -= 1
-                new_boundary = boundary_total + delta
-                new_largest = 0
-                for c in range(k):
-                    sz = sizes[c] + (1 if c == b else 0) - (1 if c == a else 0)
-                    if sz > new_largest:
-                        new_largest = sz
-                if max(new_boundary, new_largest) >= score:
-                    continue
-                # accept: v moves from a to b
-                for u in neighbors[v]:
-                    cu = membership[u]
-                    if cu == a:
-                        ext[u] += 1
-                        if ext[u] == 1:
-                            boundary_total += 1
-                    elif cu == b:
-                        ext[u] -= 1
-                        if ext[u] == 0:
-                            boundary_total -= 1
-                was_boundary = ext[v] > 0
-                ext[v] = deg_v - cnt_b
-                if was_boundary and ext[v] == 0:
-                    boundary_total -= 1
-                elif not was_boundary and ext[v] > 0:
-                    boundary_total += 1
-                membership[v] = b
-                sizes[a] -= 1
-                sizes[b] += 1
-                score = max(new_boundary, new_largest)
-                accepted = True
-                if _audit:
-                    fresh = _external_degree(g, membership)
-                    if not np.array_equal(fresh, ext) or boundary_total != int(
-                        (fresh > 0).sum()
-                    ):
-                        raise AssertionError("incremental boundary state diverged")
-                    if new_boundary != boundary_total:
-                        raise AssertionError("predicted boundary delta was wrong")
-                break
-        if not accepted:
-            break
+                boundary = kept + (deg_v > inside[b]) - freed[b]
+                new_score = max(boundary, sizes[b] + 1, sizes[a] - 1, largest_other)
+                if new_score < score:
+                    break
+            else:
+                continue
+            for u in neighbors[v]:
+                c = membership[u]
+                if c == a:
+                    ext[u] += 1
+                elif c == b:
+                    ext[u] -= 1
+            ext[v] = deg_v - inside[b]
+            membership[v] = b
+            sizes[a] -= 1
+            sizes[b] += 1
+            boundary_total, score = boundary, new_score
+            accepted = True
 
     return CommunityAssignment.from_membership(g, membership)
 

@@ -164,7 +164,7 @@ def write_graph(g: Graph, path) -> None:
 def read_graph(path) -> Graph:
     """Parse the text format written by :func:`write_graph`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise ParameterError("empty graph file")
     head = lines[0].split()

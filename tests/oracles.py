@@ -155,6 +155,35 @@ def score_from_scratch(g, membership):
     return max(int(flags.sum()), int(sizes.max()))
 
 
+def refine_naive(g, assignment, seed):
+    """Greedy boundary refinement that rescores every trial move from scratch.
+
+    Each pass draws a fresh permutation from ``default_rng(seed)`` and tries,
+    for each vertex in that order, every other nonempty community in
+    ascending id order; the first move whose :func:`score_from_scratch` is
+    strictly lower is kept.  Stops after a pass with no move.  Returns the
+    final membership, ids not compacted.
+    """
+    rng = np.random.default_rng(seed)
+    membership = np.array(assignment.membership)
+    score = score_from_scratch(g, membership)
+    moved = True
+    while moved:
+        moved = False
+        for v in rng.permutation(g.num_vertices).tolist():
+            a = membership[v]
+            for b in range(assignment.num_communities):
+                if b == a or not np.any(membership == b):
+                    continue
+                membership[v] = b
+                trial = score_from_scratch(g, membership)
+                if trial < score:
+                    score, moved = trial, True
+                    break
+                membership[v] = a
+    return membership
+
+
 def modularity_naive(g, membership):
     """Newman modularity from the dense adjacency matrix, double loop."""
     n = g.num_vertices

@@ -315,8 +315,9 @@ def test_graph_file_refuses_generator_flags(graph_file, capsys, argv, extra):
         (["solve", "--kind", "regular", "--n", "12", "--k", "3"], "--n --kind --k"),
         (["solve", "--kind", "er", "--p", "0.5", "--format", "csv"], "--kind --p"),
         (["qaoa", "--graph", "GRAPH", "--budget", "10"], "--graph"),
+        (["qaoa", "--kind", "regular", "--n", "12", "--k", "3"], "--n --kind --k"),
     ],
-    ids=["solve-graph", "solve-n", "solve-regular", "solve-er", "qaoa-graph"],
+    ids=["solve-graph", "solve-n", "solve-regular", "solve-er", "qaoa-graph", "qaoa-regular"],
 )
 def test_poly_refuses_graph_flags(graph_file, tmp_path, capsys, argv, extra):
     path = tmp_path / "poly.json"
@@ -374,9 +375,21 @@ def test_qaoa_polynomial_input(tmp_path, capsys):
 
 
 def test_qaoa_requires_input_or_graph(capsys):
+    # as for solve, the missing-input message is the graph source's
     rc, _, stderr = run_cli(capsys, "qaoa")
     assert rc == 2
-    assert "give --poly" in stderr
+    assert "give --graph FILE or --kind with --n" in stderr
+
+
+def test_qaoa_draws_a_graph_with_seed(graph_file, capsys):
+    # --kind/--n/--k draw the graph with --seed, as solve does; the fixture
+    # holds random_regular(12, 3, seed=1)
+    argv = ("qaoa", "--depth", "0", "--budget", "4", "--starts", "1", "--seed", "1")
+    rc, drawn, _ = run_cli(capsys, *argv, "--kind", "regular", "--n", "12", "--k", "3")
+    assert rc == 0
+    rc, read, _ = run_cli(capsys, *argv, "--graph", graph_file)
+    assert rc == 0
+    assert json.loads(drawn) == json.loads(read)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from qubocut import (
     Graph,
     detect_multilevel,
     modularity,
+    random_erdos_renyi,
     random_regular,
     read_membership,
     refine_boundary,
@@ -16,7 +17,7 @@ from qubocut import (
 )
 from qubocut.errors import ParameterError
 
-from oracles import boundary_flags, modularity_naive, score_from_scratch
+from oracles import boundary_flags, modularity_naive, refine_naive, score_from_scratch
 
 
 def _two_cliques_with_bridge():
@@ -182,14 +183,28 @@ def test_refine_fixed_point_is_stable():
     np.testing.assert_array_equal(once.membership, twice.membership)
 
 
-def test_refine_audit_mode_agrees():
-    # _audit recomputes every boundary set from scratch after each move
-    for seed in range(5):
-        g = random_regular(28, 3, seed=seed)
-        base = detect_multilevel(g, seed=seed)
-        fast = refine_boundary(g, base, seed=seed)
-        audited = refine_boundary(g, base, seed=seed, _audit=True)
-        np.testing.assert_array_equal(fast.membership, audited.membership)
+def test_refine_matches_naive_refinement():
+    # the oracle rescores every trial move from scratch, so a wrong boundary
+    # prediction shows as a different move sequence; starts are detected
+    # partitions and random labels
+    graphs = [random_regular(n, 3, seed=s) for n, s in ((12, 0), (28, 1), (40, 2))]
+    graphs += [random_regular(n, 4, seed=s) for n, s in ((14, 3), (30, 4))]
+    graphs += [random_erdos_renyi(n, p, seed=s) for n, p, s in ((16, 0.3, 5), (36, 0.1, 6))]
+    for seed, g in enumerate(graphs):
+        labels = np.random.default_rng(seed).integers(0, 5, g.num_vertices)
+        starts = (detect_multilevel(g, seed=seed), CommunityAssignment.from_membership(g, labels))
+        for base in starts:
+            want = CommunityAssignment.from_membership(g, refine_naive(g, base, seed))
+            got = refine_boundary(g, base, seed=seed)
+            np.testing.assert_array_equal(got.membership, want.membership)
+
+
+def test_refine_refuses_an_assignment_of_another_size():
+    g = random_regular(8, 3, seed=0)
+    for other in (6, 10):
+        ca = CommunityAssignment.from_membership(Graph(other, ()), [0] * other)
+        with pytest.raises(ParameterError, match=f"covers {other} vertices, graph has 8"):
+            refine_boundary(g, ca)
 
 
 # (n, k, seed) -> (detected, refined) memberships, one digit per vertex, for
@@ -218,9 +233,9 @@ def test_detect_and_refine_memberships_are_pinned(case):
     g = random_regular(n, k, seed=seed)
     detected = detect_multilevel(g, seed=seed)
     refined = refine_boundary(g, detected, seed=seed)
-    audited = refine_boundary(g, detected, seed=seed, _audit=True)
+    naive = CommunityAssignment.from_membership(g, refine_naive(g, detected, seed))
     digits = [
-        "".join(str(c) for c in a.membership.tolist()) for a in (detected, refined, audited)
+        "".join(str(c) for c in a.membership.tolist()) for a in (detected, refined, naive)
     ]
     want_detected, want_refined = _PINNED_MEMBERSHIPS[case]
     assert digits == [want_detected, want_refined, want_refined]

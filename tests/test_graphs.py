@@ -157,6 +157,13 @@ def test_graph_file_round_trip(tmp_path):
     assert read_graph(path) == gw
 
 
+def test_read_graph_skips_indented_comments(tmp_path):
+    # as read_membership does, a line is stripped before the comment test
+    path = tmp_path / "g.txt"
+    path.write_text("# header next\n3 1\n  # note\n0 1\n\t# tab\n")
+    assert read_graph(path) == Graph(3, ((0, 1),))
+
+
 def test_read_graph_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3\n0 1\n")

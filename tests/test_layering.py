@@ -1,6 +1,9 @@
-"""Package layering: every in-package import sits at module level."""
+"""Package layering: every in-package import sits at module level, and the
+exported API has no private parameters."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import qubocut
@@ -52,3 +55,30 @@ def test_polynomial_imports_only_the_kernels():
     path = Path(qubocut.__file__).parent / "polynomial.py"
     assert _package_imports(path) <= {"bitops", "errors", "wht"}
     assert _package_imports(Path(qubocut.__file__).parent / "solvers.py") >= {"polynomial"}
+
+
+def _exported_callables():
+    """``(label, function)`` for every function in a module's ``__all__`` and
+    every public method defined on an exported class."""
+    for path in SOURCES:
+        module = importlib.import_module(f"qubocut.{path.stem}".removesuffix(".__init__"))
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    method = getattr(obj, attr)
+                    if not attr.startswith("_") and inspect.isroutine(method):
+                        yield f"{path.stem}.{name}.{attr}", method
+            elif inspect.isroutine(obj):
+                yield f"{path.stem}.{name}", obj
+
+
+def test_exported_api_has_no_private_parameters():
+    # a parameter named ``_x`` is a hook for tests, not a part of the API
+    found = [
+        f"{label}({param})"
+        for label, fn in _exported_callables()
+        for param in inspect.signature(fn).parameters
+        if param.startswith("_")
+    ]
+    assert found == []
