@@ -40,7 +40,8 @@ class CommunityAssignment:
 
     ``membership[v]`` is the community of vertex ``v``; ids are contiguous
     ``0..num_communities-1`` and relabeled by first appearance.  ``boundary[v]``
-    is true when ``v`` has a neighbor in another community.
+    is true when ``v`` has a neighbor in another community, joined by an edge
+    of nonzero weight.
     """
 
     membership: np.ndarray
@@ -83,10 +84,17 @@ def _relabel_by_first_appearance(member) -> int:
     return len(relabel)
 
 
+def _coupling_edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The edges of nonzero weight; ``maxcut_to_qubo`` emits no term for the rest."""
+    if g.weights is None:
+        return g.edges
+    return tuple(e for e, w in zip(g.edges, g.weights) if w != 0)
+
+
 def _external_degree(g: Graph, membership) -> np.ndarray:
-    """Number of cross-community edges incident to each vertex."""
+    """Number of cross-community coupling edges incident to each vertex."""
     member = np.asarray(membership)
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.array(_coupling_edges(g), dtype=np.int64).reshape(-1, 2)
     cut = edges[member[edges[:, 0]] != member[edges[:, 1]]]
     return np.bincount(cut.ravel(), minlength=g.num_vertices)
 
@@ -233,7 +241,7 @@ def refine_boundary(
     boundary_total = sum(e > 0 for e in ext)
     score = max(boundary_total, max(sizes, default=0))
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in _coupling_edges(g):
         neighbors[u].append(v)
         neighbors[v].append(u)
 

@@ -5,6 +5,23 @@ transverse mixer ``prod_q exp(-i beta X_q)`` on the uniform superposition;
 for ``p`` layers the parameters are ``gamma_1..gamma_p, beta_1..beta_p``.
 Classical optimization is a multistart Nelder-Mead search under a hard total
 budget of energy-expectation evaluations.
+
+The mixer is ``H D_beta H / d``: two Walsh-Hadamard transforms around the
+phase ``exp(-i beta (n - 2k))`` of each basis index of bitcount ``k``.
+The uniform amplitude ``1/sqrt(d)`` is folded into the first cost phase and
+``1/d`` into the mixer phase, so no pass over the state only rescales it.
+
+A table equal to its own reverse is invariant under the global spin flip,
+since the complement of mask ``m`` is ``d-1-m``: every MaxCut table and every
+exact reduction of one is, core-fixed reductions generally are not.  The
+state then stays flip-symmetric, and only the ``d/2`` amplitudes ``phi``
+with top bit 0 are simulated.  The ``n``-qubit transform of a symmetric
+state vanishes at odd bitcount and equals ``2 H_{n-1} phi`` at even
+bitcount, where the top bit is the parity of the rest; so the mixer on the
+half is ``H_{n-1}``, the phase with ``k = |m| + (|m| & 1)`` scaled by
+``2/d``, and ``H_{n-1}`` again, and ``<E> = 2 sum_half |phi|^2 E``.  The test
+is exact equality, so a table symmetric only up to rounding takes the full
+path.  The qubit cap still counts qubits, not stored amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial, energy_table
-from .wht import fwht
+from .wht import _fwht_rows
 
 __all__ = [
     "QaoaParams",
@@ -76,15 +93,34 @@ def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.n
     return energy_table(poly)
 
 
+def _check_length(d: int) -> None:
+    if d == 0 or d & (d - 1):
+        raise DimensionError(f"length must be a power of two, got {d}")
+
+
 @functools.cache
-def _mixer_phases(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n + 1`` values ``n - 2k`` and the bitcount ``k`` of each index."""
-    n = d.bit_length() - 1
+def _mixer_phases(size: int, half: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """The values ``n - 2k``, each stored amplitude's ``k``, and the scale.
+
+    On the half path ``k`` counts the top bit that the transform of a
+    symmetric state sets, and the scale is ``2/d`` (see the module docstring).
+    """
+    n = size.bit_length() - 1 + half
     values = n - 2.0 * np.arange(n + 1)
-    bitcounts = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(np.int64)
-    for array in (values, bitcounts):
+    counts = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.intp)
+    if half:
+        counts += counts & 1
+    for array in (values, counts):
         array.flags.writeable = False  # one cached copy is shared by every call
-    return values, bitcounts
+    return values, counts, (1 + half) / (size << half)
+
+
+def _mix(state: np.ndarray, beta: float, half: bool) -> np.ndarray:
+    """The mixer on a complex128 buffer the caller owns and gives up."""
+    values, counts, scale = _mixer_phases(state.size, half)
+    state = _fwht_rows(state)
+    state *= (np.exp(-1j * beta * values) * scale)[counts]
+    return _fwht_rows(state)
 
 
 def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
@@ -94,12 +130,11 @@ def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     that depends only on the bitcount of the basis index, so only its
     ``n + 1`` distinct values are exponentiated.
     """
-    state = fwht(np.asarray(state, dtype=np.complex128))
-    values, bitcounts = _mixer_phases(state.size)
-    state *= np.exp(-1j * beta * values)[bitcounts]
-    state = fwht(state)
-    state /= state.size
-    return state
+    state = np.array(state, dtype=np.complex128)
+    if state.ndim != 1:
+        raise DimensionError(f"expected a 1-D vector, got shape {state.shape}")
+    _check_length(state.size)
+    return _mix(state, beta, False)
 
 
 class _Simulator:
@@ -107,34 +142,45 @@ class _Simulator:
 
     The diagonal energies and the mixer's popcount phase take few distinct
     values, so per evaluation only those are exponentiated and fanned out by
-    integer indexing.
+    integer indexing.  On a flip-symmetric table (``half``) only the
+    amplitudes with top bit 0 are stored, and :meth:`run` returns those.
     """
 
     def __init__(self, energies: np.ndarray):
         energies = np.asarray(energies, dtype=np.float64)
         d = energies.size
-        if d == 0 or d & (d - 1):
-            raise DimensionError(
-                f"energy table length must be a power of two, got {d}"
-            )
-        self.energies = energies
+        _check_length(d)
         self.d = d
-        self.unique_e, self.e_index = np.unique(energies, return_inverse=True)
+        # the complement of mask m is d-1-m, so the reversed table is the flipped one
+        self.half = d > 1 and np.array_equal(energies, energies[::-1])
+        stored = energies[: d >> self.half]
+        # each stored amplitude stands for itself and its mirror on the half path
+        self.weights = stored * (1 + self.half)
+        self.unique_e, self.e_index = np.unique(stored, return_inverse=True)
 
     def run(self, params: QaoaParams) -> np.ndarray:
-        state = np.full(self.d, 1.0 / np.sqrt(self.d), dtype=np.complex128)
+        amplitude = 1 / np.sqrt(self.d)
+        if params.depth == 0:
+            return np.full(self.weights.size, amplitude, dtype=np.complex128)
+        state = None
         for gamma, beta in zip(params.gammas, params.betas):
-            state *= np.exp(-1j * gamma * self.unique_e)[self.e_index]
-            state = mixer_layer(state, beta)
+            phase = np.exp(-1j * gamma * self.unique_e)
+            if state is None:  # the uniform start folds into the first phase
+                state = (phase * amplitude)[self.e_index]
+            else:
+                state *= phase[self.e_index]
+            state = _mix(state, beta, self.half)
         return state
 
     def expectation(self, params: QaoaParams) -> float:
-        return expectation(self.run(params), self.energies)
+        return expectation(self.run(params), self.weights)
 
 
 def run_circuit(energies: np.ndarray, params: QaoaParams) -> np.ndarray:
     """Statevector after the full circuit, starting from |+...+>."""
-    return _Simulator(energies).run(params)
+    simulator = _Simulator(energies)
+    state = simulator.run(params)
+    return np.concatenate([state, state[::-1]]) if simulator.half else state
 
 
 def expectation(state: np.ndarray, energies: np.ndarray) -> float:
@@ -143,7 +189,7 @@ def expectation(state: np.ndarray, energies: np.ndarray) -> float:
     energies = np.asarray(energies, dtype=np.float64)
     if state.size != energies.size:
         raise DimensionError("state and energy table lengths differ")
-    return float(np.real(np.sum(np.abs(state) ** 2 * energies)))
+    return float((state.real**2 + state.imag**2) @ energies)
 
 
 def approximation_ratio(value: float, e_min: float) -> float:
@@ -194,15 +240,13 @@ def optimize(
         raise ParameterError(
             f"budget {budget} cannot cover {starts} starts"
         )
-    energies = diagonal_energies(poly, cap)
+    simulator = _Simulator(diagonal_energies(poly, cap))
 
     if p == 0:
-        state = np.full(energies.size, 1.0 / np.sqrt(energies.size), np.complex128)
-        value = expectation(state, energies)
+        params = QaoaParams(np.zeros(0), np.zeros(0))
+        value = simulator.expectation(params)
         ratio = approximation_ratio(value, e_min) if e_min else None
-        return QaoaResult(
-            QaoaParams(np.zeros(0), np.zeros(0)), value, ratio, 1, [value]
-        )
+        return QaoaResult(params, value, ratio, 1, [value])
 
     rng = np.random.default_rng(seed)
     x0s = [
@@ -213,7 +257,6 @@ def optimize(
     # imported here so that importing the package does not load scipy.optimize
     from scipy.optimize import minimize
 
-    simulator = _Simulator(energies)
     trace: list[float] = []
     best = {"value": np.inf, "x": x0s[0]}
 

@@ -138,10 +138,14 @@ def sign_matrix(d):
 
 
 def boundary_flags(g, membership):
-    """True for each vertex with a neighbor in another community."""
+    """True for each vertex with a neighbor in another community.
+
+    Only edges of nonzero weight count: the MaxCut polynomial has no term
+    for a zero-weight edge.
+    """
     flags = np.zeros(g.num_vertices, dtype=bool)
-    for u, v in g.edges:
-        if membership[u] != membership[v]:
+    for idx, (u, v) in enumerate(g.edges):
+        if membership[u] != membership[v] and g.weight(idx) != 0:
             flags[u] = True
             flags[v] = True
     return flags

@@ -7,10 +7,12 @@ from qubocut import (
     CommunityAssignment,
     Graph,
     detect_multilevel,
+    maxcut_to_qubo,
     modularity,
     random_erdos_renyi,
     random_regular,
     read_membership,
+    reduce_exact,
     refine_boundary,
     score_g,
     write_membership,
@@ -194,6 +196,34 @@ def test_refine_matches_naive_refinement():
         labels = np.random.default_rng(seed).integers(0, 5, g.num_vertices)
         starts = (detect_multilevel(g, seed=seed), CommunityAssignment.from_membership(g, labels))
         for base in starts:
+            want = CommunityAssignment.from_membership(g, refine_naive(g, base, seed))
+            got = refine_boundary(g, base, seed=seed)
+            np.testing.assert_array_equal(got.membership, want.membership)
+
+
+def test_zero_weight_edge_is_not_a_boundary_edge():
+    # two unit triangles joined by a 0-weight bridge: the MaxCut polynomial
+    # has no term across, so the split into triangles has no boundary
+    edges = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3))
+    g = Graph(6, edges, (1.0,) * 6 + (0.0,))
+    ca = CommunityAssignment.from_membership(g, [0, 0, 0, 1, 1, 1])
+    assert not ca.boundary.any()
+    reduced = reduce_exact(maxcut_to_qubo(g), ca)
+    assert reduced.poly.num_vars == 0
+    assert reduced.poly.terms == {(): -4.0}
+    assert not refine_boundary(g, ca).boundary.any()
+
+
+def test_refine_matches_naive_refinement_with_zero_weights():
+    # some edges of each graph weigh 0 and must not count toward the boundary
+    for seed in range(6):
+        g = random_regular(24, 3, seed=seed)
+        rng = np.random.default_rng(seed)
+        weights = np.where(rng.random(g.num_edges) < 0.3, 0.0, 1.0)
+        g = Graph(g.num_vertices, g.edges, tuple(weights))
+        labels = rng.integers(0, 4, g.num_vertices)
+        for base in (detect_multilevel(g, seed=seed), CommunityAssignment.from_membership(g, labels)):
+            np.testing.assert_array_equal(base.boundary, boundary_flags(g, base.membership))
             want = CommunityAssignment.from_membership(g, refine_naive(g, base, seed))
             got = refine_boundary(g, base, seed=seed)
             np.testing.assert_array_equal(got.membership, want.membership)

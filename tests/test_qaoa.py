@@ -6,18 +6,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubocut
 from qubocut import (
     Graph,
     PuboPolynomial,
     brute_force_min,
+    detect_multilevel,
     maxcut_to_qubo,
     random_regular,
+    reduce_exact,
+    refine_boundary,
 )
 from qubocut.errors import DimensionError, ParameterError, ResourceLimitError
 from qubocut.qaoa import (
     QaoaParams,
+    _Simulator,
     approximation_ratio,
     diagonal_energies,
     expectation,
@@ -108,6 +114,69 @@ def test_run_circuit_matches_dense_oracle():
             fast = run_circuit(energies, QaoaParams(gammas, betas))
             dense = dense_qaoa_state(energies, gammas, betas)
             np.testing.assert_allclose(fast, dense, atol=1e-10)
+
+
+def _symmetric_tables():
+    """Flip-symmetric energy tables: MaxCut, an exact reduction, palindromes, d = 2."""
+    for n in (4, 6, 8, 10):
+        yield f"maxcut-{n}", diagonal_energies(maxcut_to_qubo(random_regular(n, 3, seed=n)))
+    g = random_regular(12, 3, seed=1)
+    assignment = refine_boundary(g, detect_multilevel(g, seed=1), seed=1)
+    yield "reduce-exact", diagonal_energies(reduce_exact(maxcut_to_qubo(g), assignment).poly)
+    rng = np.random.default_rng(72)
+    for n in (1, 3, 5, 7):  # n = 1 is d = 2, a one-amplitude half
+        e = rng.standard_normal(1 << n)
+        yield f"palindrome-{n}", e + e[::-1]
+
+
+@pytest.mark.parametrize("name, energies", list(_symmetric_tables()))
+def test_half_path_matches_dense_oracle(name, energies):
+    assert _Simulator(energies).half
+    rng = np.random.default_rng(73)
+    for p in (1, 2, 3, 4):
+        gammas = rng.uniform(0, 2 * np.pi, size=p)
+        betas = rng.uniform(0, np.pi, size=p)
+        fast = run_circuit(energies, QaoaParams(gammas, betas))
+        dense = dense_qaoa_state(energies, gammas, betas)
+        np.testing.assert_allclose(fast, dense, atol=1e-10)
+
+
+def test_half_path_runs_only_on_an_exact_mirror():
+    energies = diagonal_energies(maxcut_to_qubo(random_regular(8, 3, seed=74)))
+    params = QaoaParams(np.array([0.4, 1.2]), np.array([0.7, 0.2]))
+    assert _Simulator(energies).run(params).size == 128
+    for mask in (0, 5, 255):
+        broken = energies.copy()
+        broken[mask] += 0.5  # its mirror 255 - mask keeps the old value
+        simulator = _Simulator(broken)
+        assert not simulator.half
+        assert simulator.run(params).size == 256
+        np.testing.assert_allclose(
+            run_circuit(broken, params),
+            dense_qaoa_state(broken, params.gammas, params.betas), atol=1e-10,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(0, 3),
+)
+def test_simulator_expectation_matches_naive(n, symmetric, seed, p):
+    rng = np.random.default_rng(seed)
+    energies = rng.integers(-4, 5, size=1 << n).astype(np.float64)
+    if symmetric:
+        energies = energies + energies[::-1]
+    gammas = rng.uniform(0, 2 * np.pi, size=p)
+    betas = rng.uniform(0, np.pi, size=p)
+    simulator = _Simulator(energies)
+    assert simulator.half == (symmetric or np.array_equal(energies, energies[::-1]))
+    dense = dense_qaoa_state(energies, gammas, betas)
+    assert simulator.expectation(QaoaParams(gammas, betas)) == pytest.approx(
+        expectation_naive(dense, energies), abs=1e-10
+    )
 
 
 def test_run_circuit_preserves_norm():
