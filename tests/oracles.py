@@ -250,3 +250,59 @@ def expectation_naive(state, energies):
     for amp, e in zip(state, energies):
         total += (amp.real**2 + amp.imag**2) * e
     return total
+
+
+def optimize_sequential(poly, p, budget, starts, seed, e_min=None):
+    """``qaoa.optimize`` as one scipy ``minimize`` call per start, in turn.
+
+    The loop ``optimize`` ran before its starts moved to lockstep: the same
+    initial points, the same objective closure and scipy's own Nelder-Mead.
+    It evaluates through the simulator's one-point path, so a comparison
+    with ``optimize`` checks the optimizer and the batching bit for bit.
+    """
+    from scipy.optimize import minimize
+
+    from qubocut.qaoa import (
+        QaoaParams, QaoaResult, _Simulator, approximation_ratio, diagonal_energies,
+    )
+
+    simulator = _Simulator(diagonal_energies(poly))
+    rng = np.random.default_rng(seed)
+    x0s = [
+        np.concatenate([rng.uniform(0, 2 * np.pi, p), rng.uniform(0, np.pi, p)])
+        for _ in range(starts)
+    ]
+    trace = []
+    best = {"value": np.inf, "x": x0s[0]}
+
+    class BudgetExhausted(Exception):
+        pass
+
+    def objective(x):
+        if len(trace) >= budget:
+            raise BudgetExhausted
+        value = simulator.expectation(QaoaParams.from_flat(x))
+        trace.append(value)
+        if value < best["value"]:
+            best["value"] = value
+            best["x"] = np.array(x, copy=True)
+        return value
+
+    share = max(1, budget // starts)
+    try:
+        for x0 in x0s:
+            remaining = budget - len(trace)
+            if remaining <= 0:
+                break
+            minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={"maxfev": min(share, remaining), "xatol": 1e-4, "fatol": 1e-8},
+            )
+    except BudgetExhausted:
+        pass
+
+    value = float(best["value"])
+    ratio = approximation_ratio(value, e_min) if e_min else None
+    return QaoaResult(QaoaParams.from_flat(best["x"]), value, ratio, len(trace), trace)

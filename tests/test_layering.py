@@ -1,5 +1,5 @@
-"""Package layering: every in-package import sits at module level, and the
-exported API has no private parameters."""
+"""Package layering: every in-package import sits at module level, no
+module imports scipy, and the exported API has no private parameters."""
 
 import ast
 import importlib
@@ -55,6 +55,23 @@ def test_polynomial_imports_only_the_kernels():
     path = Path(qubocut.__file__).parent / "polynomial.py"
     assert _package_imports(path) <= {"bitops", "errors", "wht"}
     assert _package_imports(Path(qubocut.__file__).parent / "solvers.py") >= {"polynomial"}
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the optimizer is a port of its Nelder-Mead
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def _exported_callables():

@@ -17,12 +17,15 @@ from qubocut import (
     detect_multilevel,
     maxcut_to_qubo,
     random_regular,
+    reduce_core_fixed,
     reduce_exact,
     refine_boundary,
 )
+from qubocut import qaoa
 from qubocut.errors import DimensionError, ParameterError, ResourceLimitError
 from qubocut.qaoa import (
     QaoaParams,
+    _nelder_mead,
     _Simulator,
     approximation_ratio,
     diagonal_energies,
@@ -32,7 +35,7 @@ from qubocut.qaoa import (
     run_circuit,
 )
 
-from oracles import dense_qaoa_state, expectation_naive
+from oracles import dense_qaoa_state, expectation_naive, optimize_sequential
 
 
 def test_params_validation():
@@ -299,20 +302,177 @@ def test_zero_padded_parameters_nest_depths():
 
 def test_optimize_validates_arguments():
     poly = maxcut_to_qubo(Graph(2, ((0, 1),)))
-    with pytest.raises(ParameterError):
-        optimize(poly, p=-1, budget=10, starts=1, seed=0)
-    with pytest.raises(ParameterError):
-        optimize(poly, p=1, budget=2, starts=3, seed=0)
-    with pytest.raises(ParameterError):
-        optimize(poly, p=1, budget=10, starts=0, seed=0)
+    valid = {"p": 1, "budget": 10, "starts": 1, "seed": 0}
+    for bad in (
+        {"p": -1}, {"p": 2.0}, {"p": True}, {"budget": 2, "starts": 3},
+        {"budget": 0}, {"budget": 10.5}, {"starts": 0}, {"starts": 2.0},
+        {"starts": np.True_}, {"seed": -1}, {"seed": 1.0}, {"seed": None},
+        {"e_min": float("nan")}, {"e_min": float("-inf")}, {"e_min": "-1"},
+    ):
+        with pytest.raises(ParameterError):
+            optimize(poly, **(valid | bad))
+
+
+def test_optimize_accepts_numpy_integers():
+    poly = maxcut_to_qubo(Graph(2, ((0, 1),)))
+    plain = optimize(poly, p=2, budget=30, starts=2, seed=3, e_min=-1.0)
+    numpy = optimize(
+        poly, p=np.int64(2), budget=np.int32(30), starts=np.uint8(2), seed=np.int64(3),
+        e_min=np.float64(-1.0),
+    )
+    assert numpy.trace == plain.trace
+    assert numpy.ratio == plain.ratio
+
+
+def _optimize_tables():
+    """MaxCut (half path), both reductions and a non-dyadic polynomial."""
+    for n in (4, 6, 8, 10):
+        yield f"maxcut-{n}", maxcut_to_qubo(random_regular(n, 3, seed=n))
+    g = random_regular(12, 3, seed=1)
+    poly = maxcut_to_qubo(g)
+    assignment = refine_boundary(g, detect_multilevel(g, seed=1), seed=1)
+    yield "reduce-exact", reduce_exact(poly, assignment).poly
+    yield "reduce-core-fixed", reduce_core_fixed(poly, assignment).poly
+    rng = np.random.default_rng(75)
+    terms = [(tuple(rng.choice(7, size=k, replace=False)), float(rng.normal()))
+             for k in (1, 1, 2, 2, 2, 3, 3, 4)]
+    yield "random-non-dyadic", PuboPolynomial(7, terms)
+    yield "zero", PuboPolynomial(5, [])  # every value ties, so the first best must win
+
+
+def _assert_same_result(fast, slow):
+    assert [v.hex() for v in fast.trace] == [v.hex() for v in slow.trace]
+    assert fast.evals_used == slow.evals_used == len(fast.trace)
+    assert fast.expectation.hex() == slow.expectation.hex()
+    np.testing.assert_array_equal(fast.params.gammas, slow.params.gammas)
+    np.testing.assert_array_equal(fast.params.betas, slow.params.betas)
+    assert (fast.ratio is None and slow.ratio is None) or fast.ratio.hex() == slow.ratio.hex()
+
+
+@pytest.mark.parametrize("name, poly", list(_optimize_tables()))
+def test_optimize_matches_sequential_scipy(name, poly):
+    energies = diagonal_energies(poly)
+    assert _Simulator(energies).half == name.startswith(("maxcut", "reduce-exact", "zero"))
+    e_min = float(energies.min())
+    # (budget, starts): a remainder left over, shares below the initial
+    # simplex of 2p + 1 points (budget 8 over 2 starts at p = 4), one to five starts
+    cases = [(50, 3), (10, 4), (8, 2), (25, 1), (41, 2), (62, 4), (77, 5)]
+    for p in (1, 2, 3, 4):
+        for budget, starts in cases:
+            seed = 10 * p + starts
+            fast = optimize(poly, p, budget=budget, starts=starts, seed=seed, e_min=e_min)
+            slow = optimize_sequential(poly, p, budget, starts, seed, e_min=e_min)
+            _assert_same_result(fast, slow)
+
+
+def test_optimize_matches_sequential_scipy_when_starts_converge(monkeypatch):
+    # shares large enough that each start stops on xatol/fatol, after its own count
+    seen = []
+
+    def spy(x0):
+        seen.append(0)
+        k = len(seen) - 1
+        search = _nelder_mead(x0)
+        point = next(search)
+        while True:
+            value = yield point
+            seen[k] += 1
+            try:
+                point = search.send(value)
+            except StopIteration:
+                return
+
+    poly = maxcut_to_qubo(random_regular(6, 3, seed=76))
+    monkeypatch.setattr(qaoa, "_nelder_mead", spy)
+    fast = optimize(poly, p=1, budget=3000, starts=3, seed=4, e_min=-7.0)
+    slow = optimize_sequential(poly, 1, 3000, 3, 4, e_min=-7.0)
+    _assert_same_result(fast, slow)
+    assert sum(seen) == fast.evals_used
+    assert max(seen) < 1000 and len(set(seen)) == 3
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def _rounded_bowl(x):
+    return float(np.round(np.sum((x - 0.3) ** 2) * 4) / 4)  # plateaus: many equal values
+
+
+def _holed_rosenbrock(x):
+    # NaN on stripes of x[0]: every comparison with NaN is false
+    return np.nan if (x[0] * 10) % 1 < 0.3 else _rosenbrock(x)
+
+
+@pytest.mark.parametrize(
+    "fn, x0",
+    [
+        (_rosenbrock, np.array([-1.2, 1.0, 0.5, -0.7])),
+        (_rounded_bowl, np.array([1.3, -0.4, 2.2])),
+        (_rosenbrock, np.array([0.0, 1.5, 0.0, -2.0])),
+        (_holed_rosenbrock, np.array([-1.2, 1.0, 0.5, -0.7])),
+        (_rounded_bowl, np.array([0.0, 0.0, 0.7])),
+        (_rounded_bowl, np.array([1.1, -0.6, 0.0, 2.4, 0.9, -1.3, 0.2, 1.7])),
+    ],
+)
+@pytest.mark.parametrize("maxfev", [3, 40, 400, 5000])
+def test_nelder_mead_visits_scipys_points(fn, x0, maxfev):
+    from scipy.optimize import minimize
+
+    expected = []
+
+    def record(x):
+        expected.append(np.array(x, copy=True))
+        return fn(x)
+
+    minimize(record, x0, method="Nelder-Mead",
+             options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-8})
+    got = []
+    search = _nelder_mead(x0)
+    point = next(search)
+    while True:
+        got.append(point.copy())
+        if len(got) == maxfev:
+            break
+        value = fn(point)
+        point.fill(np.nan)  # the caller owns each point, as scipy's objective owns its copy
+        try:
+            point = search.send(value)
+        except StopIteration:
+            break
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        assert [v.hex() for v in mine] == [v.hex() for v in theirs]
+
+
+@pytest.mark.parametrize("cap", [1, 16, 1 << 13])
+def test_batched_expectations_match_one_point_path(monkeypatch, cap):
+    monkeypatch.setattr(qaoa, "_BATCH_AMPLITUDES", cap)
+    rng = np.random.default_rng(77)
+    tables = [diagonal_energies(maxcut_to_qubo(random_regular(8, 3, seed=78))),
+              rng.standard_normal(1 << 7), np.array([0.5, 0.5]), np.array([1.5])]
+    for energies in tables:
+        simulator = _Simulator(energies)
+        for p in (1, 3):
+            angles = np.concatenate(
+                [rng.uniform(0, 2 * np.pi, (5, p)), rng.uniform(0, np.pi, (5, p))], axis=1)
+            batched = simulator.expectations(angles)
+            single = [simulator.expectation(QaoaParams.from_flat(row)) for row in angles]
+            assert [v.hex() for v in batched] == [v.hex() for v in single]
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is most of the import time, and only optimize() needs it
-    code = "import sys, qubocut; print('scipy.optimize' in sys.modules)"
+    # scipy.optimize costs about 0.5 s and 47 MB to import, and the package needs none of it
+    code = (
+        "import sys, qubocut\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "g = qubocut.Graph(3, ((0, 1), (1, 2)))\n"
+        "r = qubocut.qaoa_optimize(qubocut.maxcut_to_qubo(g), p=2, budget=40, starts=2)\n"
+        "print(r.evals_used, 'scipy.optimize' in sys.modules)"
+    )
     src = Path(qubocut.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "40", "False"]
