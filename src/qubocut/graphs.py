@@ -106,9 +106,8 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     Stubs (k copies of each vertex) are shuffled and paired; draws containing
     a self-loop or duplicate edge are rejected wholesale and retried.
     """
-    if n <= 0:
-        raise ParameterError(f"n must be positive, got {n}")
-    if not 0 <= k < n:
+    n, k = _index(n, "n", 1), _index(k, "degree k", 0)
+    if k >= n:
         raise ParameterError(f"degree k must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2:
         raise ParameterError(f"n*k must be even, got n={n}, k={k}")
@@ -127,8 +126,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 
 def random_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each vertex pair is an edge independently with probability p."""
-    if n <= 0:
-        raise ParameterError(f"n must be positive, got {n}")
+    n = _index(n, "n", 1)
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -59,12 +59,16 @@ _BUCKET_LIMIT = _FULL_TABLE_LIMIT + 1
 _PRODUCT_CAP = _BLOCK**3  # products stay on one BLAS thread up to this size; see wht
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int: numpy integers pass, while a bool, a float (which
-    ``int`` would truncate), a string or another non-integer raises."""
+def _index(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``, when that is given: numpy
+    integers pass, while a bool, a float (which ``int`` would truncate), a
+    string or another non-integer raises."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ParameterError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _canonical_term(term, num_vars: int) -> tuple[int, ...]:
@@ -423,7 +427,7 @@ def brute_force_min(
     otherwise the energy may differ from the summed terms, and between
     paths, in the last bits, since each path sums in its own order.
     """
-    energy, mask = _minimum(poly, cap)
+    energy, mask = _minimum(poly, _index(cap, "cap", 0))
     return energy, index_to_spins(mask, poly.num_vars)
 
 

@@ -45,13 +45,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
-from .polynomial import PuboPolynomial, energy_table
+from .polynomial import PuboPolynomial, _index, energy_table
 from .wht import _fwht_rows
 
 __all__ = [
@@ -108,7 +107,7 @@ class QaoaParams:
 
 def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.ndarray:
     """Energy of every computational basis state, indexed by bitmask."""
-    if poly.num_vars > cap:
+    if poly.num_vars > _index(cap, "cap", 0):
         raise ResourceLimitError(
             f"{poly.num_vars} qubits exceed the statevector cap {cap}"
         )
@@ -318,19 +317,6 @@ def _nelder_mead(x0: np.ndarray):
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; bools and floats are refused."""
-    if isinstance(value, bool):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ParameterError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def optimize(
     poly: PuboPolynomial,
     p: int,
@@ -350,10 +336,10 @@ def optimize(
     is best/e_min; it is None when ``e_min`` is None or zero, where the ratio
     is undefined.
     """
-    p = _integer("depth", p, 0)
-    budget = _integer("budget", budget, 1)
-    starts = _integer("starts", starts, 1)
-    seed = _integer("seed", seed, 0)
+    p = _index(p, "depth", 0)
+    budget = _index(budget, "budget", 1)
+    starts = _index(starts, "starts", 1)
+    seed = _index(seed, "seed", 0)
     if budget < starts:
         raise ParameterError(
             f"budget {budget} cannot cover {starts} starts"

@@ -29,7 +29,7 @@ import numpy as np
 from .bitops import as_spins, index_to_term
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
-from .polynomial import PuboPolynomial, _index, _minimum, brute_force_min
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, _minimum, brute_force_min
 from .wht import fwht
 
 __all__ = [
@@ -206,12 +206,18 @@ def quench(
     walked in mask order, each pins the boundary spins with
     :meth:`PuboPolynomial.restrict`, and the remaining core polynomial is
     solved exactly by :func:`brute_force_min`'s exhaustive search under that
-    solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``.
+    solver's own variable cap.  ``boundary_cap`` bounds ``|B_c|``; both caps
+    are checked before the table is allocated.
     """
     nb = sub.num_boundary
-    if nb > boundary_cap:
+    if nb > _index(boundary_cap, "boundary_cap", 0):
         raise ResourceLimitError(
             f"community {sub.community}: |B_c|={nb} exceeds cap {boundary_cap}"
+        )
+    if sub.num_core > DEFAULT_BRUTE_CAP:
+        raise ResourceLimitError(
+            f"community {sub.community}: {sub.num_core} core variables exceed "
+            f"the brute-force cap {DEFAULT_BRUTE_CAP}"
         )
     minima = (
         _minimum(sub.intra.restrict(dict(enumerate(spins))))[0]

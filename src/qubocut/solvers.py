@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ParameterError, PipelineStepError
 from .graphs import Graph, maxcut_to_qubo
-from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, brute_force_min
 from .qaoa import (
     DEFAULT_QAOA_BUDGET,
     DEFAULT_QAOA_CAP,
@@ -77,6 +77,13 @@ class PipelineConfig:
             raise ParameterError(f"unknown backend {self.backend!r}")
         if (self.backend == "wcnf") != (self.solver_cmd is not None):
             raise ParameterError("a solver command goes with backend 'wcnf' and only with it")
+        for name, least in (
+            ("seed", 0), ("boundary_cap", 0), ("brute_cap", 0), ("qaoa_depth", 0),
+            ("qaoa_budget", 1), ("qaoa_starts", 1), ("qaoa_cap", 0),
+        ):
+            setattr(self, name, _index(getattr(self, name), name, least))
+        if self.graph_k is not None:
+            self.graph_k = _index(self.graph_k, "graph_k", 0)
 
 
 @dataclass

@@ -14,6 +14,7 @@ coefficients so every clause weight is a positive integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import shlex
 import subprocess
@@ -72,49 +73,38 @@ class WcnfInstance:
 def pubo_to_wcnf(poly: PuboPolynomial) -> WcnfInstance:
     """Compile a spin polynomial to weighted MaxSAT.
 
-    Each nonconstant term of cardinality ``k`` yields ``2**(k-1)`` clauses of
-    weight ``2|c|*scale``; a clause is emitted for the spin patterns sigma
-    with ``prod sigma == +1`` when ``c > 0`` and ``-1`` when ``c < 0``
-    (literal ``not x_j`` for ``sigma_j = +1``, ``x_j`` otherwise), i.e. the
-    clause is falsified exactly by the assignments matching sigma on the
-    term's variables.  The offset collects ``-|c|(2**k - 1)`` per term minus
-    the constant.
+    A term ``c * s_{i1}..s_{ik}`` yields ``2**(k-1)`` clauses of weight
+    ``2|c|*scale``, one per spin pattern sigma with ``prod sigma == sign(c)``:
+    literal ``j`` is ``x_j`` where ``sigma_j = -1`` and ``not x_j`` otherwise,
+    so the clause is falsified exactly on sigma.  The offset collects
+    ``-|c|(2**k - 1)`` per term minus the constant.
+
+    The literal signs depend only on ``k`` and the sign of ``c``, so each such
+    pair has one sign table and a term's clauses are its literal numbers
+    ``v + 1`` times each row.  Rows run over the patterns in ascending order,
+    with the first literal on the most significant bit and a set bit for a
+    positive literal; that order fixes the text of :func:`write_wcnf`.
     """
-    fractions = {}
-    denominators = []
-    for term, coeff in poly.terms.items():
-        frac = Fraction(coeff)
-        fractions[term] = frac
-        denominators.append(frac.denominator)
-    scale = math.lcm(*denominators) if denominators else 1
+    fractions = {term: Fraction(coeff) for term, coeff in poly.terms.items()}
+    scale = math.lcm(*(frac.denominator for frac in fractions.values()))
     if scale > _MAX_SCALE:
         raise ParameterError(
             f"coefficient denominators need scale {scale} > {_MAX_SCALE}; "
             "coefficients must be small rationals"
         )
 
+    offset = -fractions.pop((), Fraction(0))
+    signs: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
     clauses: list[tuple[int, tuple[int, ...]]] = []
-    offset = Fraction(0)
-    for term, coeff in poly.terms.items():
-        frac = fractions[term]
-        k = len(term)
-        if k == 0:
-            offset -= frac
-            continue
+    for term, frac in fractions.items():
+        k, negative = len(term), frac < 0
         offset -= abs(frac) * ((1 << k) - 1)
-        weight = int(2 * abs(frac) * scale)
-        want = 1 if coeff > 0 else -1
-        for pattern in range(1 << k):
-            sign = 1
-            literals = []
-            for j, var in enumerate(term):
-                if (pattern >> (k - 1 - j)) & 1:  # sigma_j = -1
-                    sign = -sign
-                    literals.append(var + 1)
-                else:  # sigma_j = +1
-                    literals.append(-(var + 1))
-            if sign == want:
-                clauses.append((weight, tuple(literals)))
+        if (k, negative) not in signs:
+            rows = itertools.product((-1, 1), repeat=k)
+            signs[k, negative] = [row for row in rows if row.count(1) % 2 == negative]
+        weight, literals = int(2 * abs(frac) * scale), [var + 1 for var in term]
+        for row in signs[k, negative]:  # tuple(map(...)) held up to 0.9 MB more
+            clauses.append((weight, tuple([s * lit for s, lit in zip(row, literals)])))
     return WcnfInstance(poly.num_vars, tuple(clauses), float(offset), scale)
 
 

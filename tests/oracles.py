@@ -9,8 +9,13 @@ means for any comparison to be meaningful.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
+
+from qubocut.errors import ParameterError
+from qubocut.wcnf import _MAX_SCALE, WcnfInstance
 
 
 def all_spin_vectors(n):
@@ -218,6 +223,52 @@ def satisfied_weight_naive(clauses, spins):
         if ok:
             total += weight
     return total
+
+
+def pubo_to_wcnf_naive(poly):
+    """The weighted-MaxSAT encoding, pattern by pattern.
+
+    Every one of the ``2**k`` spin patterns of a degree-``k`` term is built
+    and its sign recounted; the clause for a pattern is kept when that sign
+    is the term's unfavorable one.  Patterns run in ascending order with
+    the term's first variable on the most significant bit.
+    """
+    fractions = {}
+    denominators = []
+    for term, coeff in poly.terms.items():
+        frac = Fraction(coeff)
+        fractions[term] = frac
+        denominators.append(frac.denominator)
+    scale = math.lcm(*denominators) if denominators else 1
+    if scale > _MAX_SCALE:
+        raise ParameterError(
+            f"coefficient denominators need scale {scale} > {_MAX_SCALE}; "
+            "coefficients must be small rationals"
+        )
+
+    clauses = []
+    offset = Fraction(0)
+    for term, coeff in poly.terms.items():
+        frac = fractions[term]
+        k = len(term)
+        if k == 0:
+            offset -= frac
+            continue
+        offset -= abs(frac) * ((1 << k) - 1)
+        weight = int(2 * abs(frac) * scale)
+        want = 1 if coeff > 0 else -1
+        for pattern in range(1 << k):
+            sign = 1
+            literals = []
+            for j, var in enumerate(term):
+                if (pattern >> (k - 1 - j)) & 1:  # sigma_j = -1
+                    sign = -sign
+                    literals.append(var + 1)
+                else:  # sigma_j = +1
+                    literals.append(-(var + 1))
+            if sign == want:
+                clauses.append((weight, tuple(literals)))
+    return WcnfInstance(poly.num_vars, tuple(clauses), float(offset), scale)
 
 
 def dense_qaoa_state(energies, gammas, betas):

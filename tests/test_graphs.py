@@ -97,6 +97,22 @@ def test_random_regular_validation():
         random_regular(5, 3, 0)  # odd n*k
 
 
+def test_random_regular_degree_is_an_integer():
+    # True would read as degree 1
+    with pytest.raises(ParameterError, match="degree k must be an integer"):
+        random_regular(10, True, 0)
+    assert random_regular(10, np.int64(3), 0) == random_regular(10, 3, 0)
+
+
+def test_random_regular_size_is_an_integer():
+    # 10.5 used to pass the range checks and fail only at the parity check
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        random_regular(10.5, 3, 0)
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        random_erdos_renyi(10.5, 0.5, 0)
+    assert random_regular(np.int32(10), 3, 0) == random_regular(10, 3, 0)
+
+
 def test_random_erdos_renyi_bounds_and_determinism():
     g0 = random_erdos_renyi(30, 0.0, 0)
     assert g0.num_edges == 0

@@ -57,6 +57,12 @@ def test_polynomial_imports_only_the_kernels():
     assert _package_imports(Path(qubocut.__file__).parent / "solvers.py") >= {"polynomial"}
 
 
+def test_wcnf_imports_only_the_polynomial_layer():
+    # the MaxSAT export sits below the reducer, the pipeline and the CLI
+    path = Path(qubocut.__file__).parent / "wcnf.py"
+    assert _package_imports(path) <= {"bitops", "errors", "polynomial"}
+
+
 def test_no_module_imports_scipy():
     # scipy is a test dependency only: the optimizer is a port of its Nelder-Mead
     found = []

@@ -86,6 +86,13 @@ def test_diagonal_energies_cap():
         diagonal_energies(poly, cap=5)
 
 
+def test_diagonal_energies_cap_is_an_integer():
+    poly = PuboPolynomial(2, [((0,), 1.0)])
+    with pytest.raises(ParameterError, match="cap must be an integer"):
+        diagonal_energies(poly, cap=2.5)
+    assert diagonal_energies(poly, cap=np.int64(2)).size == 4
+
+
 def test_run_circuit_p0_is_uniform():
     energies = np.zeros(8)
     state = run_circuit(energies, QaoaParams(np.zeros(0), np.zeros(0)))

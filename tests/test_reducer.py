@@ -195,6 +195,32 @@ def test_quench_boundary_cap():
         quench(sub, boundary_cap=2)
 
 
+def test_quench_boundary_cap_is_an_integer():
+    sub = CommunitySubinstance(5, (0, 1, 2), (), PuboPolynomial(3, [((0, 1), 1.0)]))
+    with pytest.raises(ParameterError, match="boundary_cap must be an integer"):
+        quench(sub, boundary_cap=2.5)
+    np.testing.assert_array_equal(quench(sub, boundary_cap=np.int64(3)), quench(sub))
+
+
+def test_quench_refuses_a_large_core_before_allocating():
+    # |B_c| = 20 with a 32-variable core: the per-mask solve cannot take the
+    # core, so the 8 MB table must never be allocated
+    nb, nc = 20, 32
+    terms = [((i, i + 1), 1.0) for i in range(nb + nc - 1)]
+    sub = CommunitySubinstance(
+        3, tuple(range(nb)), tuple(range(nb, nb + nc)), PuboPolynomial(nb + nc, terms)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="brute-force cap 30") as refusal:
+            quench(sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "community 3" in str(refusal.value)
+
+
 def test_table_to_polynomial_two_point():
     poly = table_to_polynomial(np.array([3.0, 7.0]))
     assert poly.terms == {(): 5.0, (0,): -2.0}

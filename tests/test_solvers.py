@@ -283,6 +283,15 @@ def test_variable_cap():
         brute_force_min(poly, cap=4)
 
 
+def test_variable_cap_is_an_integer():
+    # a float cap used to be compared as is, and True to be read as 1
+    poly = PuboPolynomial(5, [((0,), 1.0)])
+    for cap in (12.5, True, "30", -1):
+        with pytest.raises(ParameterError, match="cap must be"):
+            brute_force_min(poly, cap=cap)
+    assert brute_force_min(poly, cap=np.int64(5))[0] == -1.0
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ParameterError):
         PipelineConfig(mode="fast")
@@ -292,6 +301,22 @@ def test_pipeline_config_validation():
     for backend, solver_cmd in (("wcnf", None), ("oracle", "maxsat"), ("qaoa", "maxsat")):
         with pytest.raises(ParameterError, match="solver command"):
             PipelineConfig(backend=backend, solver_cmd=solver_cmd)
+
+
+def test_pipeline_config_integer_fields():
+    # a string cap used to build, then fail at step 'solve' with a TypeError
+    with pytest.raises(ParameterError, match="brute_cap must be an integer"):
+        PipelineConfig(brute_cap="30")
+    for bad in (
+        {"seed": -1}, {"seed": 1.0}, {"boundary_cap": 2.5}, {"brute_cap": True},
+        {"qaoa_depth": -1}, {"qaoa_budget": 0}, {"qaoa_starts": 2.0}, {"qaoa_cap": None},
+        {"graph_k": 3.0},
+    ):
+        with pytest.raises(ParameterError):
+            PipelineConfig(**bad)
+    cfg = PipelineConfig(seed=np.int64(4), brute_cap=np.uint8(20), graph_k=np.int32(3))
+    assert (cfg.seed, cfg.brute_cap, cfg.graph_k) == (4, 20, 3)
+    assert all(type(v) is int for v in (cfg.seed, cfg.brute_cap, cfg.graph_k))
 
 
 def test_pipeline_exact_matches_brute_force():

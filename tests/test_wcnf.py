@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qubocut import (
     PipelineConfig,
@@ -27,6 +29,7 @@ from oracles import (
     all_spin_vectors,
     enumerate_min,
     eval_terms_int,
+    pubo_to_wcnf_naive,
     satisfied_weight_naive,
 )
 
@@ -165,6 +168,30 @@ def test_maxsat_optima_match_energy_minima(seed):
     argmax = {i for i, v in enumerate(sats) if v == best_sat}
     argmin = {i for i, e in enumerate(energies) if e == e_min}
     assert argmax == argmin
+
+
+# halves and quarters need scale 2 and 4
+_DYADIC = st.builds(lambda m, e: m / 2**e, st.integers(-64, 64), st.integers(0, 2))
+
+
+@st.composite
+def _dyadic_polys(draw):
+    """Up to 10 variables with terms of any degree, a constant included."""
+    n = draw(st.integers(0, 10))
+    terms = st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n)
+    return PuboPolynomial(n, draw(st.lists(st.tuples(terms, _DYADIC), max_size=8)))
+
+
+@settings(deadline=None)
+@given(_dyadic_polys())
+@example(PuboPolynomial(0))
+@example(PuboPolynomial(4, {(): -1.25}))
+@example(PuboPolynomial(10, {tuple(range(10)): -0.25, tuple(range(9)): 0.5, (): 3.0}))
+def test_encoding_matches_pattern_by_pattern_reference(poly):
+    inst = pubo_to_wcnf(poly)
+    reference = pubo_to_wcnf_naive(poly)
+    assert inst == reference
+    assert write_wcnf(inst) == write_wcnf(reference)
 
 
 # ---------------------------------------------------------------------------
