@@ -28,7 +28,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, brute_force_min
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _minimum
 from .qaoa import (
     DEFAULT_QAOA_BUDGET,
     DEFAULT_QAOA_CAP,
@@ -255,7 +255,7 @@ def cmd_qaoa(args) -> int:
     poly = _load_poly(args)
     e_min = None
     if poly.num_vars <= min(args.brute_cap, args.qaoa_cap):
-        e_min, _ = brute_force_min(poly, args.brute_cap)
+        e_min = _minimum(poly, args.brute_cap, witness=False)[0]
     result = optimize(
         poly,
         p=args.depth,

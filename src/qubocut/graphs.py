@@ -7,6 +7,7 @@ default to 1.0 per edge when not given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,12 +141,16 @@ def maxcut_to_qubo(g: Graph) -> PuboPolynomial:
     """MaxCut as spin minimization: E(s) = sum_e w_e/2 * s_u s_v - W/2.
 
     A cut edge (s_u != s_v) contributes -w_e, an uncut edge 0, so -E counts
-    the cut weight and the minimum energy is minus the maximum cut.
+    the cut weight and the minimum energy is minus the maximum cut.  The
+    graph's edges are already canonical and its weights finite, so only the
+    constant, a sum that can overflow, is checked.
     """
-    terms: list[tuple[tuple[int, ...], float]] = [((), -g.total_weight() / 2.0)]
-    for idx, (u, v) in enumerate(g.edges):
-        terms.append(((u, v), g.weight(idx) / 2.0))
-    return PuboPolynomial(g.num_vertices, terms)
+    constant = -g.total_weight() / 2.0
+    if not math.isfinite(constant):
+        raise ParameterError(f"coefficient of term () is {constant}")
+    terms = [((), constant)]
+    terms += [((u, v), g.weight(idx) / 2.0) for idx, (u, v) in enumerate(g.edges)]
+    return PuboPolynomial._from_canonical(g.num_vertices, terms)
 
 
 def write_graph(g: Graph, path) -> None:

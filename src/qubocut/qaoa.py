@@ -344,7 +344,9 @@ def optimize(
         raise ParameterError(
             f"budget {budget} cannot cover {starts} starts"
         )
-    if e_min is not None and not (isinstance(e_min, numbers.Real) and math.isfinite(e_min)):
+    if e_min is not None and (
+        isinstance(e_min, bool) or not (isinstance(e_min, numbers.Real) and math.isfinite(e_min))
+    ):
         raise ParameterError(f"e_min must be a finite number or None, got {e_min!r}")
     simulator = _Simulator(diagonal_energies(poly, cap))
 

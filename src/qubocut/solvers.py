@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .community import detect_multilevel, refine_boundary, score_g
 from .errors import ParameterError, PipelineStepError
 from .graphs import Graph, maxcut_to_qubo
-from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, brute_force_min
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, _minimum, brute_force_min
 from .qaoa import (
     DEFAULT_QAOA_BUDGET,
     DEFAULT_QAOA_CAP,
@@ -166,7 +166,7 @@ def _qaoa_comparison(
     info = {"depth": cfg.qaoa_depth, "budget": cfg.qaoa_budget}
     for tag, target, e_min in cases:
         if e_min is None:
-            e_min, _ = brute_force_min(target, cfg.brute_cap)
+            e_min = _minimum(target, cfg.brute_cap, witness=False)[0]
         result = optimize(
             target,
             p=cfg.qaoa_depth,
@@ -254,8 +254,7 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
         report.lifted_energy = float(poly.evaluate(lifted))
 
     if g.num_vertices <= cfg.brute_cap:
-        e_orig, _ = brute_force_min(poly, cfg.brute_cap)
-        report.e_min_original = float(e_orig)
+        report.e_min_original = _minimum(poly, cfg.brute_cap, witness=False)[0]
 
     if cfg.backend == "qaoa":
         with _step("qaoa"):

@@ -556,11 +556,11 @@ def test_cap_flags_are_read(argv, message, tmp_path, capsys, monkeypatch):
     path = tmp_path / "g8.txt"
     write_graph(random_regular(8, 3, seed=1), path)
     if argv[0] == "qaoa":
-        # The statevector cap refuses before any brute force runs.
+        # The statevector cap refuses before any exact minimum runs.
         def forbidden(*args, **kwargs):
-            raise AssertionError("brute_force_min called past the statevector cap")
+            raise AssertionError("_minimum called past the statevector cap")
 
-        monkeypatch.setattr("qubocut.cli.brute_force_min", forbidden)
+        monkeypatch.setattr("qubocut.cli._minimum", forbidden)
     rc, _, stderr = run_cli(capsys, *argv, "--graph", str(path))
     assert rc == 2
     assert stderr.startswith("error:") and message in stderr

@@ -5,6 +5,7 @@ import pytest
 
 from qubocut import (
     Graph,
+    PuboPolynomial,
     maxcut_to_qubo,
     random_erdos_renyi,
     random_regular,
@@ -161,6 +162,39 @@ def test_maxcut_weighted_graph():
     assert poly.terms == {(): -3.0, (0, 1): 1.0, (1, 2): 2.0}
     # cutting both edges: s = (+1, -1, +1)
     assert poly.evaluate([1, -1, 1]) == -6.0
+
+
+@pytest.mark.parametrize("weights", ["unit", "fractional", "zero"])
+def test_maxcut_to_qubo_matches_the_validating_construction(weights):
+    # the trusted construction keeps every term, coefficient bit and order
+    rng = np.random.default_rng(37)
+    shapes = [random_regular(n, k, seed) for n, k in ((12, 3), (20, 3), (22, 4)) for seed in (1, 2)]
+    shapes += [random_erdos_renyi(n, p, seed) for n, p in ((15, 0.3), (25, 0.15)) for seed in (1, 2)]
+    for g in shapes:
+        if weights == "fractional":
+            g = Graph(g.num_vertices, g.edges, weights=tuple(rng.uniform(0.0, 3.0, g.num_edges)))
+        elif weights == "zero":
+            w = rng.choice([0.0, 0.3, 1.0], size=g.num_edges)
+            g = Graph(g.num_vertices, g.edges, weights=tuple(w))
+        reference = PuboPolynomial(
+            g.num_vertices,
+            [((), -g.total_weight() / 2.0)]
+            + [((u, v), g.weight(i) / 2.0) for i, (u, v) in enumerate(g.edges)],
+        )
+        poly = maxcut_to_qubo(g)
+        assert poly == reference
+        assert list(poly.terms) == list(reference.terms)
+        assert [c.hex() for c in poly.terms.values()] == [
+            c.hex() for c in reference.terms.values()
+        ]
+    assert maxcut_to_qubo(Graph(3, ((0, 1), (1, 2)), weights=(0.0, 0.0))).terms == {}
+
+
+def test_maxcut_to_qubo_refuses_an_overflowing_constant():
+    # each weight is finite, but their sum is not
+    g = Graph(3, ((0, 1), (1, 2)), weights=(1e308, 1e308))
+    with pytest.raises(ParameterError, match=r"term \(\) is -inf"):
+        maxcut_to_qubo(g)
 
 
 def test_graph_file_round_trip(tmp_path):

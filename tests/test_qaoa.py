@@ -315,6 +315,7 @@ def test_optimize_validates_arguments():
         {"budget": 0}, {"budget": 10.5}, {"starts": 0}, {"starts": 2.0},
         {"starts": np.True_}, {"seed": -1}, {"seed": 1.0}, {"seed": None},
         {"e_min": float("nan")}, {"e_min": float("-inf")}, {"e_min": "-1"},
+        {"e_min": True}, {"e_min": False},
     ):
         with pytest.raises(ParameterError):
             optimize(poly, **(valid | bad))

@@ -197,9 +197,9 @@ def test_eliminated_minimum_matches_enumeration(poly):
     eliminated = []
     eliminated_minimum = polynomial._eliminated_minimum
 
-    def spy(p, order):
+    def spy(p, order, *witness):
         eliminated.append(len(order))
-        return eliminated_minimum(p, order)
+        return eliminated_minimum(p, order, *witness)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomial, "_FULL_TABLE_LIMIT", 3)
@@ -210,6 +210,69 @@ def test_eliminated_minimum_matches_enumeration(poly):
     e_oracle, s_oracle = enumerate_min(poly)
     assert energy == e_oracle
     np.testing.assert_array_equal(spins, s_oracle)
+
+
+@st.composite
+def _float_polynomials(draw):
+    """PUBOs of 4 to 10 variables with terms of degree up to 5 and arbitrary
+    finite coefficients, whose sums round: a check on the order of the sums."""
+    n = draw(st.integers(4, 10))
+    coeff = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    term = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    return PuboPolynomial(n, draw(st.lists(st.tuples(term, coeff), max_size=24)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.one_of(_polynomials(), _with_isolated_variables()), st.just(True)),
+    st.tuples(_float_polynomials(), st.just(False)),
+))
+def test_energy_only_elimination_matches_the_witness_pass(case):
+    # under the limits above every polynomial past three variables is
+    # eliminated down to three, once without and once with the witness
+    poly, dyadic = case
+    calls = []
+    eliminated_minimum = polynomial._eliminated_minimum
+
+    def spy(p, order, witness=True):
+        calls.append(witness)
+        return eliminated_minimum(p, order, witness)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_FULL_TABLE_LIMIT", 3)
+        mp.setattr(polynomial, "_ELIMINATION_MIN_VARS", 0)
+        mp.setattr(polynomial, "_eliminated_minimum", spy)
+        energy, mask = polynomial._minimum(poly, witness=False)
+        e_witness, _ = polynomial._minimum(poly)
+    assert calls == ([False, True] if poly.num_vars > 3 else [])
+    assert mask is None
+    assert float.hex(energy) == float.hex(e_witness)
+    if dyadic:
+        assert energy == enumerate_min(poly)[0]
+
+
+def test_energy_only_elimination_peaks_below_the_witness_pass():
+    # no int64 mask array beside each energy table
+    poly = maxcut_to_qubo(random_regular(26, 3, seed=26))
+    peaks = {}
+    for witness in (True, False):
+        tracemalloc.start()
+        try:
+            energy, _ = polynomial._minimum(poly, witness=witness)
+            peaks[witness] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == brute_force_min(poly)[0]
+    assert peaks[False] < peaks[True]
+
+
+def test_energy_only_elimination_passes_63_variables(monkeypatch):
+    # 100 variables overflow an int64 mask, but the energy-only pass keeps
+    # none; an even ring is cut along every edge
+    poly = maxcut_to_qubo(Graph(100, [(i, (i + 1) % 100) for i in range(100)]))
+    taken = _paths(monkeypatch)
+    assert polynomial._minimum(poly, cap=100, witness=False) == (-100.0, None)
+    assert taken == ["_eliminated_minimum"]
 
 
 def _paths(monkeypatch):
@@ -328,6 +391,20 @@ def test_pipeline_exact_matches_brute_force():
         assert report.e_min_reduced == e_direct
         assert report.lifted_energy == e_direct
         assert maxcut_to_qubo(g).evaluate(report.lifted_spins) == e_direct
+
+
+@pytest.mark.parametrize("n, k", [(20, 3), (22, 3), (20, 4), (22, 4)])
+def test_pipeline_e_min_original_is_brute_force_min(n, k):
+    # the energy-only pass gives brute_force_min's bits, also with weights
+    # whose sums round
+    rng = np.random.default_rng(n * k)
+    unit = random_regular(n, k, seed=n + k)
+    weighted = Graph(n, unit.edges, weights=tuple(rng.uniform(0.1, 2.0, unit.num_edges)))
+    for g in (unit, weighted):
+        e_direct, _ = brute_force_min(maxcut_to_qubo(g))
+        for mode in ("exact", "core-fixed"):
+            report = classical_pipeline(g, PipelineConfig(mode=mode, seed=n + k))
+            assert float.hex(report.e_min_original) == float.hex(e_direct)
 
 
 def test_pipeline_core_fixed_upper_bounds():
@@ -454,13 +531,14 @@ def test_pipeline_wcnf_failure_above_brute_cap_is_not_masked():
 def test_pipeline_qaoa_backend_reports_three_ratios(monkeypatch):
     g = random_regular(12, 3, seed=4)
     sizes = []
-    brute = solvers.brute_force_min
+    # the pipeline solves through brute_force_min and finds the minima it
+    # only compares against through the energy-only _minimum
+    for name in ("brute_force_min", "_minimum"):
+        def counting(poly, *args, _fn=getattr(solvers, name), **kwargs):
+            sizes.append(poly.num_vars)
+            return _fn(poly, *args, **kwargs)
 
-    def counting(poly, *args, **kwargs):
-        sizes.append(poly.num_vars)
-        return brute(poly, *args, **kwargs)
-
-    monkeypatch.setattr(solvers, "brute_force_min", counting)
+        monkeypatch.setattr(solvers, name, counting)
     timing = {"t_detect", "t_quench", "t_assemble", "t_solve", "total_time"}
     for mode in ("exact", "core-fixed"):
         cfg = PipelineConfig(
@@ -488,6 +566,24 @@ def test_pipeline_qaoa_backend_reports_three_ratios(monkeypatch):
         assert oracle.qaoa is None
         if mode == "exact":
             assert report.lifted_energy == report.e_min_original
+
+
+def test_pipeline_qaoa_ratios_divide_by_brute_force_minima():
+    # each ratio is the best expectation over brute_force_min's energy of
+    # the same target, whichever pass found that energy
+    g = random_regular(10, 3, seed=10)
+    cfg = PipelineConfig(backend="qaoa", seed=10, qaoa_depth=1, qaoa_budget=20, qaoa_starts=2)
+    report = classical_pipeline(g, cfg)
+    poly = maxcut_to_qubo(g)
+    assignment = refine_boundary(g, detect_multilevel(g, seed=10), seed=10)
+    targets = {
+        "original": poly,
+        "reduced_exact": reduce_exact(poly, assignment).poly,
+        "reduced_core_fixed": reduce_core_fixed(poly, assignment).poly,
+    }
+    for tag, target in targets.items():
+        expected = report.qaoa[f"expectation_{tag}"] / brute_force_min(target)[0]
+        assert float.hex(report.qaoa[f"ratio_{tag}"]) == float.hex(expected)
 
 
 def test_pipeline_deterministic():
