@@ -28,7 +28,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _minimum
+from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, _minimum
 from .qaoa import (
     DEFAULT_QAOA_BUDGET,
     DEFAULT_QAOA_CAP,
@@ -155,13 +155,8 @@ def _emit(args, payload: dict, csv_line: str | None = None, header: str | None =
         print(json.dumps(payload, indent=2))
 
 
-def _at_least_one(flag: str, value: int) -> None:
-    if value < 1:
-        raise ParameterError(f"--{flag} must be at least 1, got {value}")
-
-
 def cmd_generate(args) -> int:
-    _at_least_one("count", args.count)
+    _index(args.count, "--count", 1)
     out = Path(args.out)
     if args.count == 1:
         write_graph(_make_graph(args), out)
@@ -216,6 +211,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.membership is not None and args.no_refine:
+        raise ParameterError("--membership uses the file's partition as it is; drop --no-refine")
     g = _make_graph(args)
     poly = maxcut_to_qubo(g)
     if args.membership is not None:
@@ -313,8 +310,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _at_least_one("jobs", args.jobs)
-    _at_least_one("count", args.count)
+    _index(args.jobs, "--jobs", 1)
+    _index(args.count, "--count", 1)
     runs = [
         (n, mode, args.seed + i)
         for n in (int(tok) for tok in args.n_list.split(",") if tok)

@@ -39,7 +39,8 @@ class CommunityAssignment:
     """Vertex partition with precomputed boundary flags.
 
     ``membership[v]`` is the community of vertex ``v``; ids are contiguous
-    ``0..num_communities-1`` and relabeled by first appearance.  ``boundary[v]``
+    ``0..num_communities-1``, relabeled by first appearance from the
+    nonnegative integer ids :meth:`from_membership` reads.  ``boundary[v]``
     is true when ``v`` has a neighbor in another community, joined by an edge
     of nonzero weight.
     """
@@ -50,11 +51,14 @@ class CommunityAssignment:
 
     @classmethod
     def from_membership(cls, g: Graph, membership) -> "CommunityAssignment":
-        member = np.asarray(membership, dtype=np.int64).copy()
+        member = np.asarray(membership)
         if member.shape != (g.num_vertices,):
             raise ParameterError(
                 f"membership length {member.size} != {g.num_vertices} vertices"
             )
+        if member.size and member.dtype.kind not in "iu":
+            raise ParameterError(f"community ids must be integers, got dtype {member.dtype}")
+        member = member.astype(np.int64)
         if member.size and member.min() < 0:
             raise ParameterError("community ids must be nonnegative")
         k = _relabel_by_first_appearance(member)
@@ -108,9 +112,7 @@ def score_g(assignment: CommunityAssignment) -> int:
 
 def modularity(g: Graph, membership) -> float:
     """Newman modularity at resolution 1 of a vertex partition."""
-    member = np.asarray(membership, dtype=np.int64)
-    if member.shape != (g.num_vertices,):
-        raise ParameterError("membership length must equal the vertex count")
+    member = CommunityAssignment.from_membership(g, membership).membership
     m = g.total_weight()
     if m <= 0:
         return 0.0

@@ -36,9 +36,7 @@ class Graph:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        n = _index(self.num_vertices, "num_vertices")
-        if n < 0:
-            raise ParameterError(f"num_vertices must be nonnegative, got {n}")
+        n = _index(self.num_vertices, "num_vertices", 0)
         canon = []
         for u, v in self.edges:
             u, v = _index(u, "vertex"), _index(v, "vertex")

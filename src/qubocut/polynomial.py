@@ -114,10 +114,7 @@ class PuboPolynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable | None = None):
-        num_vars = _index(num_vars, "num_vars")
-        if num_vars < 0:
-            raise ParameterError(f"num_vars must be nonnegative, got {num_vars}")
-        self.num_vars = num_vars
+        self.num_vars = num_vars = _index(num_vars, "num_vars", 0)
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         self.terms = _summed(_validated(items, num_vars))
 
@@ -452,7 +449,8 @@ def brute_force_min(
     with ``witness=False`` instead: on the elimination path each bucket then
     keeps only the lower of each pair of energies, with no masks and no
     63-variable limit, in 0.27-0.51 ms on the same graphs.  The energy is
-    bit for bit this function's.
+    bit for bit this function's.  Any other call above 63 variables raises
+    :class:`ResourceLimitError` before it builds a table.
     """
     energy, mask = _minimum(poly, _index(cap, "cap", 0))
     return energy, index_to_spins(mask, poly.num_vars)
@@ -476,6 +474,8 @@ def _minimum(
         and (order := _min_fill_order(poly)) is not None
     ):
         return _eliminated_minimum(poly, order, witness)
+    elif n >= 64:  # no int64 mask holds the witness, and 2**(n - 12) blocks never end
+        raise ResourceLimitError(f"{n} variables exceed 63 without an energy-only elimination")
     else:
         blocks = _energy_blocks(poly, high)
     best_energy, best_mask = np.inf, 0

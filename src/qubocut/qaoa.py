@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
 from .polynomial import PuboPolynomial, _index, energy_table
-from .wht import _fwht_rows
+from .wht import _fwht_rows, _power_of_two_vector
 
 __all__ = [
     "QaoaParams",
@@ -114,11 +114,6 @@ def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.n
     return energy_table(poly)
 
 
-def _check_length(d: int) -> None:
-    if d == 0 or d & (d - 1):
-        raise DimensionError(f"length must be a power of two, got {d}")
-
-
 @functools.cache
 def _mixer_phases(size: int, half: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """The values ``n - 2k``, each stored amplitude's ``k``, and the scale.
@@ -154,10 +149,7 @@ def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     that depends only on the bitcount of the basis index, so only its
     ``n + 1`` distinct values are exponentiated.
     """
-    state = np.array(state, dtype=np.complex128)
-    if state.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {state.shape}")
-    _check_length(state.size)
+    state = _power_of_two_vector(np.array(state, dtype=np.complex128))
     return _mix(state, beta, False)
 
 
@@ -171,10 +163,8 @@ class _Simulator:
     """
 
     def __init__(self, energies: np.ndarray):
-        energies = np.asarray(energies, dtype=np.float64)
-        d = energies.size
-        _check_length(d)
-        self.d = d
+        energies = _power_of_two_vector(np.asarray(energies, dtype=np.float64))
+        self.d = d = energies.size
         # the complement of mask m is d-1-m, so the reversed table is the flipped one
         self.half = d > 1 and np.array_equal(energies, energies[::-1])
         stored = energies[: d >> self.half]

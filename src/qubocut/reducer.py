@@ -30,7 +30,7 @@ from .bitops import as_spins, index_to_term
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
 from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, _minimum, brute_force_min
-from .wht import fwht
+from .wht import _power_of_two_vector, fwht
 
 __all__ = [
     "CommunitySubinstance",
@@ -229,16 +229,17 @@ def quench(
 def table_to_polynomial(table) -> PuboPolynomial:
     """Interpolate a full energy table by a spin polynomial.
 
-    ``table`` is an array of ``2**M`` energies indexed by bitmask, such as
-    :func:`quench` returns; the result is the unique multilinear polynomial
-    over ``M`` spins whose energies reproduce it.  Coefficients are
-    ``fwht(energies) / 2**M``, with entries below ``WHT_PRUNE_EPS *
-    max|energies|`` in magnitude dropped, so pruning removes rounding noise
-    at any weight scale.  Every coefficient sums all entries, so a table
-    holding NaN or an infinity, or one whose transform overflows, gives a
-    non-finite coefficient and raises :class:`ParameterError`.
+    ``table`` is a 1-D array of ``2**M`` energies indexed by bitmask, such as
+    :func:`quench` returns (any other shape raises :class:`DimensionError`);
+    the result is the unique multilinear polynomial over ``M`` spins whose
+    energies reproduce it.  Coefficients are ``fwht(energies) / 2**M``, with
+    entries below ``WHT_PRUNE_EPS * max|energies|`` in magnitude dropped, so
+    pruning removes rounding noise at any weight scale.  Every coefficient
+    sums all entries, so a table holding NaN or an infinity, or one whose
+    transform overflows, gives a non-finite coefficient and raises
+    :class:`ParameterError`.
     """
-    energies = np.asarray(table, dtype=np.float64)
+    energies = _power_of_two_vector(np.asarray(table, dtype=np.float64))
     m = energies.size.bit_length() - 1
     scale = np.abs(energies).max()
     if scale == 0.0:

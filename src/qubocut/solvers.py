@@ -216,7 +216,7 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
     exactly; afterwards, outside the timed stages, QAOA runs on the original
     and on both reductions and the result goes to ``report.qaoa``, with its
     wall time as ``report.qaoa["seconds"]``.  A failure there is step
-    ``"qaoa"``.
+    ``"qaoa"``; one in the untimed ``e_min_original`` is step ``"original"``.
     """
     cfg = cfg or PipelineConfig()
     report = PipelineReport(
@@ -254,7 +254,8 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
         report.lifted_energy = float(poly.evaluate(lifted))
 
     if g.num_vertices <= cfg.brute_cap:
-        report.e_min_original = _minimum(poly, cfg.brute_cap, witness=False)[0]
+        with _step("original"):
+            report.e_min_original = _minimum(poly, cfg.brute_cap, witness=False)[0]
 
     if cfg.backend == "qaoa":
         with _step("qaoa"):

@@ -54,12 +54,17 @@ def fwht(values) -> np.ndarray:
     """
     is_complex = np.iscomplexobj(values)
     a = np.array(values, dtype=np.complex128 if is_complex else np.float64)
+    return _fwht_rows(_power_of_two_vector(a))
+
+
+def _power_of_two_vector(a: np.ndarray) -> np.ndarray:
+    """``a``, refused unless it is a 1-D vector of power-of-two length."""
     if a.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {a.shape}")
     d = a.size
     if d == 0 or d & (d - 1):
         raise DimensionError(f"length must be a power of two, got {d}")
-    return _fwht_rows(a)
+    return a
 
 
 def _fwht_rows(a: np.ndarray) -> np.ndarray:

@@ -5,12 +5,15 @@ import json
 import re
 import shlex
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from qubocut import (
     CSV_HEADER,
+    CommunityAssignment,
+    Graph,
     PuboPolynomial,
     ReducedInstance,
     brute_force_min,
@@ -18,6 +21,7 @@ from qubocut import (
     random_regular,
     read_graph,
     write_graph,
+    write_membership,
 )
 from qubocut.cli import _SHARED_FLAGS, STATS_HEADER, build_parser, main
 from oracles import enumerate_min
@@ -194,6 +198,30 @@ def test_reduce_core_fixed_mode(capsys):
     assert max(int(k) for k in payload["degree_histogram"]) <= 2
 
 
+def test_reduce_uses_the_membership_file_as_it_is(graph_file, tmp_path, capsys):
+    g = read_graph(graph_file)
+    given = CommunityAssignment.from_membership(g, [v % 3 for v in range(12)])
+    path = tmp_path / "m.txt"
+    write_membership(given, path)
+    rc, stdout, _ = run_cli(capsys, "reduce", "--graph", graph_file, "--membership", str(path))
+    assert rc == 0
+    payload = json.loads(stdout)
+    assert payload["var_map"] == given.global_boundary().tolist()
+    assert payload["num_communities"] == 3
+
+
+def test_reduce_membership_refuses_no_refine(graph_file, tmp_path, capsys):
+    # the file's partition is never refined, so --no-refine would be ignored
+    path = tmp_path / "m.txt"
+    write_membership(CommunityAssignment.from_membership(read_graph(graph_file), [0] * 12), path)
+    rc, stdout, stderr = run_cli(
+        capsys, "reduce", "--graph", graph_file, "--membership", str(path), "--no-refine",
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "--membership" in stderr and "--no-refine" in stderr
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -221,6 +249,16 @@ def test_solve_polynomial_file(tmp_path, capsys):
     payload = json.loads(stdout)
     e_min, _ = enumerate_min(poly)
     assert payload["energy"] == e_min
+
+
+def test_solve_past_63_variables_is_an_error_line(tmp_path, capsys):
+    # an 80-variable witness overflows every mask; it used to end in a traceback
+    path = tmp_path / "ring.json"
+    maxcut_to_qubo(Graph(80, [(i, (i + 1) % 80) for i in range(80)])).save(path)
+    rc, stdout, stderr = run_cli(capsys, "solve", "--poly", str(path), "--brute-cap", "100")
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "80 variables exceed 63" in stderr
 
 
 def test_solve_csv_format(capsys):
@@ -470,6 +508,32 @@ def test_bench_stdout_and_bad_mode(capsys):
     )
     assert rc == 2
     assert "unknown mode" in stderr
+
+
+def test_bench_process_pool_writes_the_same_rows(tmp_path, capsys, monkeypatch):
+    # --jobs 2 maps the runs through two worker processes; only the stage
+    # timings t1..t4 (columns 7-10) may differ from a serial run
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("qubocut.cli.ProcessPoolExecutor", Pool)
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"bench{jobs}.csv"
+        rc, _, _ = run_cli(
+            capsys, "bench", "--kind", "regular", "--k", "3", "--n-list", "8,10",
+            "--count", "2", "--modes", "exact,core-fixed", "--jobs", jobs, "--out", str(out),
+        )
+        assert rc == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        rows[jobs] = [line.split(",")[:7] + line.split(",")[11:] for line in lines]
+    assert pools == [2]
+    assert len(rows["2"]) == 9
+    assert rows["2"] == rows["1"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -60,6 +60,51 @@ def test_from_membership_relabels_and_flags_boundary():
     np.testing.assert_array_equal(ca.global_boundary(), [1, 2])
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [[0.5, 1.7, 1.7], [0.0, 1.0, 1.0], [True, False, False], ["0", "1", "1"],
+     np.array([0, 1, 1], dtype=object)],
+    ids=["float", "integral-float", "bool", "string", "object"],
+)
+def test_non_integer_community_ids_are_refused(ids):
+    # a float id used to be truncated ([0.5, 1.7] read as [0, 1]), and a bool
+    # or a digit string read as an integer; modularity reads through the same check
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ParameterError, match="community ids must be integers"):
+        CommunityAssignment.from_membership(g, ids)
+    with pytest.raises(ParameterError, match="community ids must be integers"):
+        modularity(g, ids)
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [None, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+)
+def test_every_integer_dtype_gives_the_same_membership(dtype):
+    g = Graph(5, ((0, 1), (1, 2), (3, 4)))
+    ids = [7, 7, 2, 2, 2] if dtype is None else np.array([7, 7, 2, 2, 2], dtype=dtype)
+    ca = CommunityAssignment.from_membership(g, ids)
+    assert ca.membership.dtype == np.int64
+    np.testing.assert_array_equal(ca.membership, [0, 0, 1, 1, 1])
+    assert float.hex(modularity(g, ids)) == float.hex(modularity(g, [0, 0, 1, 1, 1]))
+
+
+def test_empty_membership_is_accepted():
+    g = Graph(0, ())
+    ca = CommunityAssignment.from_membership(g, [])
+    assert ca.membership.shape == (0,) and ca.num_communities == 0
+    assert modularity(g, []) == 0.0
+
+
+def test_modularity_refuses_negative_and_misfitting_ids():
+    # modularity used to sum a negative id as its own community
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        modularity(g, [-1, 0, 0])
+    with pytest.raises(ParameterError, match="membership length 2 != 3 vertices"):
+        modularity(g, [0, 0])
+
+
 def test_boundary_core_partition_each_community():
     g = random_regular(30, 3, seed=2)
     ca = detect_multilevel(g, seed=2)

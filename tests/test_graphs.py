@@ -47,6 +47,8 @@ def test_graph_validation():
         Graph(3, ((0.5, 1.7),))
     with pytest.raises(ParameterError, match="must be an integer"):
         Graph(3.5, ((0, 1),))
+    with pytest.raises(ParameterError, match="num_vertices must be at least 0, got -1"):
+        Graph(-1, ())
     g = Graph(np.int64(3), np.array([[2, 0]]))
     assert g.num_vertices == 3 and g.edges == ((0, 2),)
 

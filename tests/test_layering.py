@@ -105,3 +105,31 @@ def test_exported_api_has_no_private_parameters():
         if param.startswith("_")
     ]
     assert found == []
+
+
+def _is_power_of_two_test(node) -> bool:
+    """Whether ``node`` is ``x & (x - 1)``, in either operand order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    for x, other in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(other, ast.BinOp)
+            and isinstance(other.op, ast.Sub)
+            and isinstance(other.right, ast.Constant)
+            and other.right.value == 1
+            and ast.dump(other.left) == ast.dump(x)
+        ):
+            return True
+    return False
+
+
+def test_power_of_two_length_check_lives_in_wht():
+    # tables and states share wht's one check for a 1-D power-of-two vector,
+    # so no second copy of the test can drift from it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if _is_power_of_two_test(node)
+    ]
+    assert found and all(place.startswith("wht.py:") for place in found)

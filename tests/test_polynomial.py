@@ -193,7 +193,7 @@ def test_non_finite_coefficient_rejected(bad):
 def test_out_of_range_variable_rejected():
     with pytest.raises(ParameterError):
         PuboPolynomial(2, [((2,), 1.0)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="num_vars must be at least 0, got -1"):
         PuboPolynomial(-1)
 
 

@@ -99,6 +99,17 @@ def test_run_circuit_p0_is_uniform():
     np.testing.assert_allclose(state, np.full(8, 2 ** -1.5), atol=1e-12)
 
 
+def test_run_circuit_refuses_a_2d_energy_table():
+    # a (2, 2) table used to run as two batched rows and return a (2, 2) state
+    params = QaoaParams(np.array([0.3]), np.array([0.2]))
+    with pytest.raises(DimensionError, match="expected a 1-D vector"):
+        run_circuit(np.zeros((2, 2)), params)
+    with pytest.raises(DimensionError, match="length must be a power of two"):
+        run_circuit(np.zeros(6), params)
+    with pytest.raises(DimensionError, match="expected a 1-D vector"):
+        mixer_layer(np.zeros((2, 2)), 0.2)
+
+
 def test_run_circuit_zero_beta_keeps_uniform_probabilities():
     g = random_regular(6, 3, seed=63)
     energies = diagonal_energies(maxcut_to_qubo(g))

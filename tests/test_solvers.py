@@ -275,6 +275,26 @@ def test_energy_only_elimination_passes_63_variables(monkeypatch):
     assert taken == ["_eliminated_minimum"]
 
 
+def test_witness_past_63_variables_is_refused(monkeypatch):
+    # no int64 mask holds the witness, and the blocked path would walk 2**52
+    # leading masks: refused before any table is built
+    poly = maxcut_to_qubo(Graph(64, [(i, (i + 1) % 64) for i in range(64)]))
+    taken = _paths(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="64 variables exceed 63"):
+        brute_force_min(poly, cap=64)
+    assert taken == []
+
+
+def test_energy_only_solve_without_an_order_past_63_variables_is_refused(monkeypatch):
+    # every min-fill bucket of a complete graph spans all its vertices
+    poly = maxcut_to_qubo(Graph(64, [(i, j) for i in range(64) for j in range(i + 1, 64)]))
+    assert polynomial._min_fill_order(poly) is None
+    taken = _paths(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="64 variables exceed 63"):
+        polynomial._minimum(poly, cap=64, witness=False)
+    assert taken == []
+
+
 def _paths(monkeypatch):
     """Record which of the two paths above the full table each call takes."""
     taken = []
@@ -501,6 +521,19 @@ def test_pipeline_qaoa_comparison_fails_as_its_own_step():
         classical_pipeline(g, cfg)
     assert info.value.step == "qaoa"
     assert isinstance(info.value.cause, ResourceLimitError)
+
+
+def test_pipeline_original_minimum_fails_as_its_own_step(monkeypatch):
+    # e_min_original runs after the four timed stages, under step "original"
+    def refuse(*args, **kwargs):
+        raise ResourceLimitError("refused")
+
+    monkeypatch.setattr(solvers, "_minimum", refuse)
+    with pytest.raises(PipelineStepError) as info:
+        classical_pipeline(random_regular(12, 3, seed=1), PipelineConfig(seed=1))
+    assert info.value.step == "original"
+    assert isinstance(info.value.cause, ResourceLimitError)
+    assert info.value.__cause__ is info.value.cause
 
 
 def test_pipeline_wcnf_failure_within_brute_cap_is_an_error(monkeypatch):
