@@ -300,8 +300,13 @@ def write_membership(assignment: CommunityAssignment, path) -> None:
 
 
 def read_membership(g: Graph, path) -> CommunityAssignment:
-    """Parse the format written by :func:`write_membership`."""
-    member = np.full(g.num_vertices, -1, dtype=np.int64)
+    """Parse the format written by :func:`write_membership`.
+
+    The ids are left to :meth:`CommunityAssignment.from_membership`, which
+    refuses a negative one by name.
+    """
+    ids = [0] * g.num_vertices
+    listed = set()
     with open(path, "r", encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
@@ -313,10 +318,11 @@ def read_membership(g: Graph, path) -> CommunityAssignment:
             v, c = int(parts[0]), int(parts[1])
             if not 0 <= v < g.num_vertices:
                 raise ParameterError(f"vertex {v} out of range")
-            if member[v] != -1:
+            if v in listed:
                 raise ParameterError(f"vertex {v} listed twice")
-            member[v] = c
-    if np.any(member < 0):
-        missing = int(np.flatnonzero(member < 0)[0])
+            listed.add(v)
+            ids[v] = c
+    if len(listed) < g.num_vertices:
+        missing = min(set(range(g.num_vertices)) - listed)
         raise ParameterError(f"vertex {missing} has no community")
-    return CommunityAssignment.from_membership(g, member)
+    return CommunityAssignment.from_membership(g, ids)

@@ -8,6 +8,7 @@ default to 1.0 per edge when not given.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,8 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 def random_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each vertex pair is an edge independently with probability p."""
     n = _index(n, "n", 1)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ParameterError(f"p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -26,18 +26,26 @@ path.  The qubit cap still counts qubits, not stored amplitudes.
 Each start of the multistart search gets exactly ``budget // starts``
 evaluations, or fewer if it converges; the remainder of the budget is never
 used.  Since no start's share depends on the others, the starts run in
-lockstep: each round stacks the next point of every live start into one
-angle matrix, whose rows the simulator evaluates in one pass.  A start
-leaves the batch when it converges or spends its share.  The optimizer is a
-port of scipy's default Nelder-Mead (no bounds, coefficients rho = 1,
-chi = 2, psi = sigma = 1/2, initial simplex +5% on each nonzero coordinate
-and 0.00025 on a zero one, ``xatol = 1e-4``, ``fatol = 1e-8``, the same
-sorts), so every start visits the points scipy's ``minimize`` would, and the
-trace is the per-start traces joined in start order.  A batch stores at
-most ``2**13`` amplitudes.  On a 2-core x86-64 VM at p = 4, four rows of
-``2**11`` stored amplitudes (an n = 12 original) took 0.67-0.78 of the time
-of four one-row passes, and four rows of ``2**13`` (an n = 14 original)
-took 1.04-1.07 of it, so rows that large run one at a time.
+lockstep.  The optimizer hands over every point it can name before it needs
+a value: the whole initial simplex (2p + 1 points), the whole shrink (2p
+points), or the one reflection, expansion or contraction.  Each round
+stacks every live start's list, cut to what is left of its share, into one
+angle matrix, whose rows the simulator evaluates in as few passes as the
+amplitude cap allows; each pass exponentiates the distinct cost and mixer
+phases of all p layers at once.  A start leaves the batch when it converges
+or spends its share.  So a depth-4 share of 16 takes 8 rounds, not 16: on
+the benchmark's qaoa-p4 targets (budget 64, 4 starts, seeds 1-3) every op
+took 8 rounds, and the reduced targets took 8.9 passes per op where one
+point per start took 16.  The optimizer is a port of scipy's default
+Nelder-Mead (no bounds, coefficients rho = 1, chi = 2, psi = sigma = 1/2,
+initial simplex +5% on each nonzero coordinate and 0.00025 on a zero one,
+``xatol = 1e-4``, ``fatol = 1e-8``, the same sorts), so every start visits
+the points scipy's ``minimize`` would, and the trace is the per-start traces
+joined in start order.  A batch stores at most ``2**13`` amplitudes.  On
+a 2-core x86-64 VM at p = 4, four rows of ``2**11`` stored amplitudes (an
+n = 12 original) took 0.67-0.78 of the time of four one-row passes, and
+four rows of ``2**13`` (an n = 14 original) took 1.04-1.07 of it, so rows
+that large run one at a time.
 """
 
 from __future__ import annotations
@@ -115,7 +123,7 @@ def diagonal_energies(poly: PuboPolynomial, cap: int = DEFAULT_QAOA_CAP) -> np.n
 
 
 @functools.cache
-def _mixer_phases(size: int, half: bool) -> tuple[np.ndarray, np.ndarray, float]:
+def _mixer_tables(size: int, half: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """The values ``n - 2k``, each stored amplitude's ``k``, and the scale.
 
     On the half path ``k`` counts the top bit that the transform of a
@@ -131,14 +139,25 @@ def _mixer_phases(size: int, half: bool) -> tuple[np.ndarray, np.ndarray, float]
     return values, counts, (1 + half) / (size << half)
 
 
-def _mix(state: np.ndarray, beta, half: bool) -> np.ndarray:
+def _mixer_phases(betas: np.ndarray, size: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The mixer's distinct phases for each angle in ``betas``, and their fan-out.
+
+    All ``n + 1`` phases of every angle come from one exponential, shape
+    ``betas.shape + (n + 1,)``; taking each stored amplitude's bitcount
+    (the second array) from a row of them gives that angle's diagonal.
+    """
+    values, counts, scale = _mixer_tables(size, half)
+    return np.exp(-1j * betas[..., None] * values) * scale, counts
+
+
+def _mix(state: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """The mixer on each row of a complex128 buffer the caller owns and gives up.
 
-    ``beta`` is one angle, or a column of one angle per row.
+    ``phase`` is the mixer's diagonal, one row per state row or one for all.
+    This is the one place the mixer's transforms run.
     """
-    values, counts, scale = _mixer_phases(state.shape[-1], half)
     state = _fwht_rows(state)
-    state *= (np.exp(-1j * beta * values) * scale).take(counts, axis=-1)
+    state *= phase
     return _fwht_rows(state)
 
 
@@ -150,7 +169,8 @@ def mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     ``n + 1`` distinct values are exponentiated.
     """
     state = _power_of_two_vector(np.array(state, dtype=np.complex128))
-    return _mix(state, beta, False)
+    phases, counts = _mixer_phases(np.asarray(beta, dtype=np.float64), state.size, False)
+    return _mix(state, phases.take(counts))
 
 
 class _Simulator:
@@ -178,16 +198,20 @@ class _Simulator:
         return self._run_rows(np.concatenate([params.gammas, params.betas])[None])[0]
 
     def _run_rows(self, angles: np.ndarray) -> np.ndarray:
-        """The stored states for each row of gammas then betas, ``p >= 1``."""
+        """The stored states for each row of gammas then betas, ``p >= 1``.
+
+        The distinct cost and mixer phases of all ``p`` layers come from one
+        exponential each; each layer fans its own out to the state's length.
+        """
         p = angles.shape[1] // 2
-        state = None
+        cost = np.exp(-1j * angles.T[:p, :, None] * self.unique_e)
+        cost[0] *= 1 / np.sqrt(self.d)  # the uniform start folds into the first phase
+        mix, counts = _mixer_phases(angles.T[p:], self.weights.size, self.half)
+        state = cost[0].take(self.e_index, axis=-1)
         for layer in range(p):
-            phase = np.exp(-1j * angles[:, layer, None] * self.unique_e)
-            if state is None:  # the uniform start folds into the first phase
-                state = (phase * (1 / np.sqrt(self.d))).take(self.e_index, axis=1)
-            else:
-                state *= phase.take(self.e_index, axis=1)
-            state = _mix(state, angles[:, p + layer, None], self.half)
+            if layer:
+                state *= cost[layer].take(self.e_index, axis=-1)
+            state = _mix(state, mix[layer].take(counts, axis=-1))
         return state
 
     def expectation(self, params: QaoaParams) -> float:
@@ -249,10 +273,15 @@ def _nelder_mead(x0: np.ndarray):
 
     A port of scipy 1.17's ``_minimize_neldermead`` with no bounds, the
     non-adaptive coefficients, the default initial simplex and
-    ``xatol = 1e-4``, ``fatol = 1e-8``.  Each yielded point is a copy the
-    caller owns and is answered with ``send(value)``; the generator returns
-    once the simplex converges and never on its own otherwise, so the caller
-    stops it at its budget.
+    ``xatol = 1e-4``, ``fatol = 1e-8``.  Each yield is a list of every point
+    the method can name before it needs a value: the whole initial simplex
+    (``n + 1`` points), the whole shrink (``n`` points, each from the best
+    vertex and its own old one), or the single reflection, expansion or
+    contraction.  Each point is a copy the caller owns, and the list is
+    answered with ``send`` of a list of their values in order.  Scipy
+    evaluates the same points in the same order one at a time.  The
+    generator returns once the simplex converges and never on its own
+    otherwise, so the caller stops it at its budget, inside a list if need be.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -261,9 +290,7 @@ def _nelder_mead(x0: np.ndarray):
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
-    fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        fsim[k] = yield sim[k].copy()
+    fsim = np.array((yield list(sim.copy())), dtype=np.float64)
     for _ in range(2):  # scipy sorts the initial simplex twice
         order = np.argsort(fsim)
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
@@ -274,11 +301,11 @@ def _nelder_mead(x0: np.ndarray):
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = yield xr.copy()
+        [fxr] = yield [xr.copy()]
         doshrink = False
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = yield xe.copy()
+            [fxe] = yield [xe.copy()]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -287,22 +314,21 @@ def _nelder_mead(x0: np.ndarray):
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
             xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = yield xc.copy()
+            [fxc] = yield [xc.copy()]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 doshrink = True
         else:
             xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = yield xcc.copy()
+            [fxcc] = yield [xcc.copy()]
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 doshrink = True
         if doshrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = yield sim[j].copy()
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            fsim[1:] = yield list(sim[1:].copy())
         order = np.argsort(fsim)
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
 
@@ -358,13 +384,16 @@ def optimize(
     runs: list[list[tuple[float, np.ndarray]]] = [[] for _ in x0s]
     live = list(range(starts))
     while live:
-        values = simulator.expectations(np.array([points[i] for i in live]))
+        for i in live:  # a start's share may end inside a simplex or shrink list
+            del points[i][share - len(runs[i]):]
+        values = iter(simulator.expectations(np.array([x for i in live for x in points[i]])))
         still = []
-        for i, value in zip(live, values):
-            runs[i].append((value, points[i]))
+        for i in live:
+            answers = [next(values) for _ in points[i]]
+            runs[i] += zip(answers, points[i])
             if len(runs[i]) < share:
                 try:
-                    points[i] = searches[i].send(value)
+                    points[i] = searches[i].send(answers)
                 except StopIteration:
                     continue
                 still.append(i)

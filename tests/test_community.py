@@ -346,6 +346,21 @@ def test_membership_file_round_trip(tmp_path):
     assert back.num_communities == ca.num_communities
 
 
+def test_read_membership_names_a_negative_community(tmp_path):
+    # a listed vertex with id -1 is a negative id, not a missing vertex
+    g = Graph(3, ((0, 1), (1, 2)))
+    path = tmp_path / "m.txt"
+    path.write_text("0 -1\n1 -1\n2 0\n")
+    with pytest.raises(ParameterError, match="community ids must be nonnegative"):
+        read_membership(g, path)
+    path.write_text("0 0\n2 1\n")
+    with pytest.raises(ParameterError, match="vertex 1 has no community"):
+        read_membership(g, path)
+    path.write_text("0 0\n1 0\n1 1\n2 1\n")
+    with pytest.raises(ParameterError, match="vertex 1 listed twice"):
+        read_membership(g, path)
+
+
 def test_read_membership_rejects_malformed(tmp_path):
     g = Graph(3, ((0, 1), (1, 2)))
     path = tmp_path / "m.txt"

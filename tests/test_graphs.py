@@ -122,8 +122,17 @@ def test_random_erdos_renyi_bounds_and_determinism():
     g1 = random_erdos_renyi(30, 1.0, 0)
     assert g1.num_edges == 30 * 29 // 2
     assert random_erdos_renyi(25, 0.3, 4) == random_erdos_renyi(25, 0.3, 4)
+    assert random_erdos_renyi(12, np.float32(0.25), 3) == random_erdos_renyi(12, 0.25, 3)
+    assert random_erdos_renyi(12, 1, 3).num_edges == 12 * 11 // 2
     with pytest.raises(ParameterError):
         random_erdos_renyi(10, 1.5, 0)
+
+
+@pytest.mark.parametrize("p", [True, False, "0.5", None, 0.5j])
+def test_random_erdos_renyi_refuses_a_non_real_probability(p):
+    # a string, None or a complex would fail inside the comparison, and True would read as 1
+    with pytest.raises(ParameterError, match="p must be a real number"):
+        random_erdos_renyi(10, p, 0)
 
 
 def test_random_erdos_renyi_edge_count_concentration():

@@ -133,3 +133,20 @@ def test_power_of_two_length_check_lives_in_wht():
         if _is_power_of_two_test(node)
     ]
     assert found and all(place.startswith("wht.py:") for place in found)
+
+
+def test_qaoa_transforms_only_inside_the_mixer():
+    # the mixer has one kernel, which the batched runner and ``mixer_layer``
+    # share, so hoisting the phases out of it cannot fork a second copy
+    path = Path(qubocut.__file__).parent / "qaoa.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def uses(root):
+        return [
+            node for node in ast.walk(root)
+            if (isinstance(node, ast.Name) and node.id == "_fwht_rows")
+            or (isinstance(node, ast.Attribute) and node.attr == "_fwht_rows")
+        ]
+
+    [mix] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_mix"]
+    assert uses(mix) and len(uses(mix)) == len(uses(tree))

@@ -392,12 +392,12 @@ def test_optimize_matches_sequential_scipy_when_starts_converge(monkeypatch):
         seen.append(0)
         k = len(seen) - 1
         search = _nelder_mead(x0)
-        point = next(search)
+        points = next(search)
         while True:
-            value = yield point
-            seen[k] += 1
+            values = yield points
+            seen[k] += len(values)
             try:
-                point = search.send(value)
+                points = search.send(values)
             except StopIteration:
                 return
 
@@ -408,6 +408,48 @@ def test_optimize_matches_sequential_scipy_when_starts_converge(monkeypatch):
     _assert_same_result(fast, slow)
     assert sum(seen) == fast.evals_used
     assert max(seen) < 1000 and len(set(seen)) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    poly=st.sampled_from([
+        maxcut_to_qubo(random_regular(8, 3, seed=79)),
+        # every value ties, so each step contracts and then shrinks the simplex
+        PuboPolynomial(5, []),
+    ]),
+    p=st.integers(1, 4),
+    starts=st.integers(1, 5),
+    data=st.data(),
+)
+def test_optimize_matches_sequential_scipy_at_every_share(poly, p, starts, data):
+    # budgets from one evaluation per start to 80 end a start's share inside
+    # its initial simplex, inside a shrink and between single points
+    budget = data.draw(st.integers(starts, 80), label="budget")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fast = optimize(poly, p, budget=budget, starts=starts, seed=seed, e_min=-10.0)
+    slow = optimize_sequential(poly, p, budget, starts, seed, e_min=-10.0)
+    _assert_same_result(fast, slow)
+
+
+def test_optimize_batches_each_simplex_into_one_call(monkeypatch):
+    # a depth-4 start names its 9-point initial simplex at once, so four starts
+    # fill the first call with 36 rows; one point per start and call would
+    # need a call per evaluation of the 16-evaluation share, lists need half
+    calls = []
+    expectations = _Simulator.expectations
+
+    def spy(self, angles):
+        calls.append(len(angles))
+        return expectations(self, angles)
+
+    g = random_regular(12, 3, seed=4)
+    assignment = refine_boundary(g, detect_multilevel(g, seed=4), seed=4)
+    poly = reduce_exact(maxcut_to_qubo(g), assignment).poly
+    monkeypatch.setattr(_Simulator, "expectations", spy)
+    result = optimize(poly, p=4, budget=64, starts=4, seed=4)
+    assert result.evals_used == sum(calls) == 64
+    assert calls[0] == 36
+    assert len(calls) == 8
 
 
 def _rosenbrock(x):
@@ -448,15 +490,17 @@ def test_nelder_mead_visits_scipys_points(fn, x0, maxfev):
              options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-8})
     got = []
     search = _nelder_mead(x0)
-    point = next(search)
+    points = next(search)
     while True:
-        got.append(point.copy())
+        points = points[: maxfev - len(got)]  # the budget may end inside a list
+        got += [point.copy() for point in points]
         if len(got) == maxfev:
             break
-        value = fn(point)
-        point.fill(np.nan)  # the caller owns each point, as scipy's objective owns its copy
+        values = [fn(point) for point in points]
+        for point in points:
+            point.fill(np.nan)  # the caller owns each point, as scipy's objective owns its copy
         try:
-            point = search.send(value)
+            points = search.send(values)
         except StopIteration:
             break
     assert len(got) == len(expected)
