@@ -82,8 +82,7 @@ def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _pipeline_flags(parser: argparse.ArgumentParser, backends, *names: str) -> None:
     """Register what :func:`_pipeline_config` reads (``--backend`` with the
-    given choices) and the named shared flags; ``--kind`` and ``--k`` come
-    from the graph source."""
+    given choices) and the named shared flags."""
     _shared_flags(parser, *names, "solver-cmd", "boundary-cap", "brute-cap")
     parser.add_argument("--backend", choices=backends, default="oracle")
     parser.add_argument("--no-refine", action="store_true")
@@ -105,13 +104,15 @@ def _make_graph(args, seed: int | None = None) -> Graph:
 
 
 def _random_graph(args, n: int, seed: int) -> Graph:
-    """A random ``--kind`` graph on ``n`` vertices, drawn with ``seed``."""
+    """A random ``--kind`` graph on ``n`` vertices, drawn with ``seed``; the
+    generator flag the kind does not read is refused, not ignored."""
+    read, unread = ("k", "p") if args.kind == "regular" else ("p", "k")
+    if getattr(args, unread) is not None:
+        raise ParameterError(f"--kind {args.kind} takes no --{unread}; drop it")
+    if getattr(args, read) is None:
+        raise ParameterError(f"--kind {args.kind} needs --{read}")
     if args.kind == "regular":
-        if args.k is None:
-            raise ParameterError("--kind regular needs --k")
         return random_regular(n, args.k, seed)
-    if args.p is None:
-        raise ParameterError(f"--kind {args.kind} needs --p")
     return random_erdos_renyi(n, args.p, seed)
 
 
@@ -291,8 +292,6 @@ def _pipeline_config(args, seed: int, mode: str, **qaoa) -> PipelineConfig:
         boundary_cap=args.boundary_cap,
         brute_cap=args.brute_cap,
         solver_cmd=args.solver_cmd,
-        graph_kind=args.kind or "",
-        graph_k=args.k,
         **qaoa,
     )
 
@@ -305,6 +304,7 @@ def cmd_pipeline(args) -> int:
         qaoa_starts=args.starts, qaoa_cap=args.qaoa_cap,
     )
     report = classical_pipeline(g, cfg)
+    report.graph_kind, report.graph_k = args.kind or "", args.k
     _emit(args, report.to_json_dict(), csv_line=report.to_csv_row(), header=CSV_HEADER)
     return 0
 
@@ -325,6 +325,8 @@ def cmd_bench(args) -> int:
             reports = list(pool.map(classical_pipeline, graphs, configs))
     else:
         reports = list(map(classical_pipeline, graphs, configs))
+    for report in reports:
+        report.graph_kind, report.graph_k = args.kind, args.k
     text = "\n".join([CSV_HEADER] + [report.to_csv_row() for report in reports])
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

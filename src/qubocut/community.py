@@ -41,8 +41,8 @@ class CommunityAssignment:
     ``membership[v]`` is the community of vertex ``v``; ids are contiguous
     ``0..num_communities-1``, relabeled by first appearance from the
     nonnegative integer ids :meth:`from_membership` reads.  ``boundary[v]``
-    is true when ``v`` has a neighbor in another community, joined by an edge
-    of nonzero weight.
+    is true when ``v`` has a neighbor in another community in
+    :meth:`Graph.adjacency`, which lists only edges of nonzero weight.
     """
 
     membership: np.ndarray
@@ -62,7 +62,7 @@ class CommunityAssignment:
         if member.size and member.min() < 0:
             raise ParameterError("community ids must be nonnegative")
         k = _relabel_by_first_appearance(member)
-        return cls(member, k, _external_degree(g, member) > 0)
+        return cls(member, k, np.array(_external_degree(g.adjacency(), member.tolist())) > 0)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.membership, minlength=self.num_communities)
@@ -88,19 +88,14 @@ def _relabel_by_first_appearance(member) -> int:
     return len(relabel)
 
 
-def _coupling_edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The edges of nonzero weight; ``maxcut_to_qubo`` emits no term for the rest."""
-    if g.weights is None:
-        return g.edges
-    return tuple(e for e, w in zip(g.edges, g.weights) if w != 0)
-
-
-def _external_degree(g: Graph, membership) -> np.ndarray:
-    """Number of cross-community coupling edges incident to each vertex."""
-    member = np.asarray(membership)
-    edges = np.array(_coupling_edges(g), dtype=np.int64).reshape(-1, 2)
-    cut = edges[member[edges[:, 0]] != member[edges[:, 1]]]
-    return np.bincount(cut.ravel(), minlength=g.num_vertices)
+def _external_degree(adj, member: list[int]) -> list[int]:
+    """Number of neighbours in another community, per vertex of adjacency ``adj``."""
+    ext = [0] * len(adj)
+    for v, nbrs in enumerate(adj):
+        for u, _ in nbrs:
+            if member[u] != member[v]:
+                ext[v] += 1
+    return ext
 
 
 def score_g(assignment: CommunityAssignment) -> int:
@@ -239,13 +234,10 @@ def refine_boundary(
     membership = assignment.membership.tolist()
     k = assignment.num_communities
     sizes = np.bincount(membership, minlength=k).tolist()
-    ext = _external_degree(g, membership).tolist()
+    adj = g.adjacency()
+    ext = _external_degree(adj, membership)
     boundary_total = sum(e > 0 for e in ext)
     score = max(boundary_total, max(sizes, default=0))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in _coupling_edges(g):
-        neighbors[u].append(v)
-        neighbors[v].append(u)
 
     accepted = True
     while accepted:
@@ -258,14 +250,14 @@ def refine_boundary(
             inside = [0] * k
             freed = [0] * k
             exposed = 0
-            for u in neighbors[v]:
+            for u, _ in adj[v]:
                 c = membership[u]
                 inside[c] += 1
                 if c == a:
                     exposed += ext[u] == 0
                 elif ext[u] == 1:
                     freed[c] += 1
-            deg_v = len(neighbors[v])
+            deg_v = len(adj[v])
             kept = boundary_total + exposed - (ext[v] > 0)
             for b in range(k):
                 if b == a or sizes[b] == 0:
@@ -276,7 +268,7 @@ def refine_boundary(
                     break
             else:
                 continue
-            for u in neighbors[v]:
+            for u, _ in adj[v]:
                 c = membership[u]
                 if c == a:
                     ext[u] += 1

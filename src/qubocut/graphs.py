@@ -83,12 +83,14 @@ class Graph:
         return deg
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex list of (neighbor, edge weight) pairs."""
+        """Per-vertex (neighbor, weight) pairs of the edges of nonzero weight, the
+        ones :func:`maxcut_to_qubo` gives a term: the couplings communities see."""
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_vertices)]
-        for idx, (u, v) in enumerate(self.edges):
-            w = self.weight(idx)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+        weights = (1.0,) * self.num_edges if self.weights is None else self.weights
+        for (u, v), w in zip(self.edges, weights):
+            if w != 0:
+                adj[u].append((v, w))
+                adj[v].append((u, w))
         return adj
 
     def __eq__(self, other) -> bool:

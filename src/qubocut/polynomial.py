@@ -108,6 +108,18 @@ def _summed(items) -> dict[tuple[int, ...], float]:
     return dict(sorted(summed.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
+def _write_json(data: dict, path) -> None:
+    """The one file format of every ``save``: indented JSON, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class PuboPolynomial:
     """Immutable-by-convention sparse spin polynomial."""
 
@@ -210,14 +222,11 @@ class PuboPolynomial:
         return cls(num_vars, items)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path) -> "PuboPolynomial":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path))
 
 
 def energy_table(poly: PuboPolynomial) -> np.ndarray:

@@ -20,7 +20,6 @@ unconstrained optimum and keeps the reduced degree at most the input's).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .bitops import as_spins, index_to_term
 from .community import CommunityAssignment
 from .errors import ParameterError, ResourceLimitError
 from .polynomial import DEFAULT_BRUTE_CAP, PuboPolynomial, _index, _minimum, brute_force_min
+from .polynomial import _read_json, _write_json
 from .wht import _power_of_two_vector, fwht
 
 __all__ = [
@@ -130,14 +130,11 @@ class ReducedInstance:
         return cls(poly, var_map, num_original, mode)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path) -> "ReducedInstance":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path))
 
 
 def split_energy(

@@ -67,8 +67,6 @@ class PipelineConfig:
     qaoa_budget: int = DEFAULT_QAOA_BUDGET
     qaoa_starts: int = DEFAULT_QAOA_STARTS
     qaoa_cap: int = DEFAULT_QAOA_CAP
-    graph_kind: str = ""
-    graph_k: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -82,13 +80,12 @@ class PipelineConfig:
             ("qaoa_budget", 1), ("qaoa_starts", 1), ("qaoa_cap", 0),
         ):
             setattr(self, name, _index(getattr(self, name), name, least))
-        if self.graph_k is not None:
-            self.graph_k = _index(self.graph_k, "graph_k", 0)
 
 
 @dataclass
 class PipelineReport:
-    """Timings, reduction statistics and solutions of one pipeline run."""
+    """Timings, reduction statistics and solutions of one pipeline run;
+    ``graph_kind`` and ``graph_k`` are labels the command line fills in."""
 
     n: int
     num_edges: int
@@ -225,8 +222,6 @@ def classical_pipeline(g: Graph, cfg: PipelineConfig | None = None) -> PipelineR
         mode=cfg.mode,
         backend=cfg.backend,
         seed=cfg.seed,
-        graph_kind=cfg.graph_kind,
-        graph_k=cfg.graph_k,
     )
     poly = maxcut_to_qubo(g)
 

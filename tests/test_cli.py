@@ -574,6 +574,44 @@ def test_bench_refuses_graph_file(graph_file, capsys):
     assert "--graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("generate --kind er --n 12 --p 0.3 --k 3", "--k"),
+        ("generate --kind regular --n 12 --k 3 --p 0.9", "--p"),
+        ("generate --kind erdos --n 12 --p 0.3 --k 3 --count 2", "--k"),
+        ("pipeline --kind er --n 12 --p 0.3 --k 3 --format csv", "--k"),
+        ("pipeline --kind regular --n 12 --k 3 --p 0.9", "--p"),
+        ("bench --kind er --p 0.3 --k 3 --n-list 8 --count 1", "--k"),
+        ("bench --kind regular --k 3 --p 0.9 --n-list 8 --count 1 --jobs 2", "--p"),
+    ],
+)
+def test_generator_flag_the_kind_does_not_read_is_refused(argv, flag, tmp_path, capsys):
+    # such a flag used to be dropped silently, or to label an Erdos-Renyi row k = 3
+    out = tmp_path / "out"
+    extra = [] if argv.startswith("pipeline") else ["--out", str(out)]
+    rc, stdout, stderr = run_cli(capsys, *argv.split(), *extra)
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    assert f"takes no {flag}" in stderr
+
+
+def test_rows_carry_the_labels_of_what_drew_the_graph(graph_file, capsys):
+    # the pipeline leaves the labels empty; pipeline and bench fill them in
+    for argv, labels in (
+        (["--kind", "er", "--n", "10", "--p", "0.3"], ["er", None]),
+        (["--kind", "regular", "--n", "10", "--k", "3"], ["regular", 3]),
+        (["--graph", graph_file], ["", None]),
+    ):
+        rc, stdout, _ = run_cli(capsys, "pipeline", *argv)
+        assert rc == 0
+        assert [json.loads(stdout)[key] for key in ("graph_kind", "graph_k")] == labels
+    for argv, k in ((["--kind", "er", "--p", "0.3"], ""), (["--k", "3", "--jobs", "2"], "3")):
+        rc, stdout, _ = run_cli(capsys, "bench", *argv, "--n-list", "8", "--count", "2")
+        assert rc == 0
+        assert [line.split(",")[1] for line in stdout.splitlines()[1:]] == [k, k]
+
+
 # ---------------------------------------------------------------------------
 # shared flags
 

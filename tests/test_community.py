@@ -274,6 +274,46 @@ def test_refine_matches_naive_refinement_with_zero_weights():
             np.testing.assert_array_equal(got.membership, want.membership)
 
 
+def _without_zero_weights(g):
+    keep = [i for i in range(g.num_edges) if g.weight(i) != 0]
+    return Graph(g.num_vertices, tuple(g.edges[i] for i in keep), tuple(g.weights[i] for i in keep))
+
+
+def _assert_same_partitions(g, seed):
+    """Detection and refinement see only the couplings, so dropping the
+    zero-weight edges changes neither partition; returns ``g``'s two."""
+    runs = []
+    for graph in (g, _without_zero_weights(g)):
+        detected = detect_multilevel(graph, seed=seed)
+        runs.append((detected, refine_boundary(graph, detected, seed=seed)))
+    for mine, theirs in zip(*runs):
+        np.testing.assert_array_equal(mine.membership, theirs.membership)
+        np.testing.assert_array_equal(mine.boundary, theirs.boundary)
+    return runs[0]
+
+
+def test_zero_weight_edges_do_not_steer_detection():
+    # 7 of the 21 edges weigh 0; detection once moved along them to a
+    # partition with B = 8, against B = 6 on the graph without them
+    g = random_regular(14, 3, 44)
+    weights = np.random.default_rng(44).choice([0, 1, 2], p=[0.3, 0.4, 0.3], size=g.num_edges)
+    g = Graph(14, g.edges, tuple(float(w) for w in weights))
+    assert (weights == 0).sum() == 7
+    detected, refined = _assert_same_partitions(g, seed=1)
+    assert int(detected.boundary.sum()) == int(refined.boundary.sum()) == 6
+
+
+def test_zero_weight_edges_never_change_partitions():
+    # half the edges weigh 0; when detection read them, it split 4 of these
+    # 80 graphs otherwise than the same graphs without them
+    for n, k in ((24, 3), (24, 4), (40, 3), (40, 4)):
+        for seed in range(20):
+            g = random_regular(n, k, seed)
+            rng = np.random.default_rng(seed)
+            weights = rng.choice([0.0, 1.0, 2.0], p=[0.5, 0.25, 0.25], size=g.num_edges)
+            _assert_same_partitions(Graph(n, g.edges, tuple(weights.tolist())), seed)
+
+
 def test_refine_refuses_an_assignment_of_another_size():
     g = random_regular(8, 3, seed=0)
     for other in (6, 10):

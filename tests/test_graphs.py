@@ -76,6 +76,17 @@ def test_degrees_and_adjacency():
     assert adj[0] == [(1, 1.0)]
 
 
+def test_adjacency_lists_only_the_couplings():
+    # a zero-weight edge is still an edge of the graph, but it couples nothing:
+    # the MaxCut polynomial has no term for it
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)), weights=(1.0, 0.0, 2.5))
+    assert g.edges == ((0, 1), (1, 2), (2, 3)) and g.num_edges == 3
+    np.testing.assert_array_equal(g.degrees(), [1, 2, 2, 1])
+    assert g.adjacency() == [[(1, 1.0)], [(0, 1.0)], [(3, 2.5)], [(2, 2.5)]]
+    assert sorted(maxcut_to_qubo(g).terms) == [(), (0, 1), (2, 3)]
+    assert Graph(3, ((0, 1), (1, 2)), (0.0, 0.0)).adjacency() == [[], [], []]
+
+
 def test_random_regular_is_regular():
     for n, k, seed in [(8, 3, 0), (12, 3, 1), (10, 4, 2), (20, 5, 3)]:
         g = random_regular(n, k, seed)

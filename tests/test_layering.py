@@ -150,3 +150,18 @@ def test_qaoa_transforms_only_inside_the_mixer():
 
     [mix] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_mix"]
     assert uses(mix) and len(uses(mix)) == len(uses(tree))
+
+
+def test_community_reads_couplings_only_through_adjacency():
+    # detection, refinement and the boundary share Graph.adjacency's rule for
+    # which pairs couple; only modularity, defined over every edge, reads them
+    path = Path(qubocut.__file__).parent / "community.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr} in {top.name}"
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "modularity")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("edges", "weights", "weight")
+    ]
+    assert found == []

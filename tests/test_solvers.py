@@ -393,13 +393,12 @@ def test_pipeline_config_integer_fields():
     for bad in (
         {"seed": -1}, {"seed": 1.0}, {"boundary_cap": 2.5}, {"brute_cap": True},
         {"qaoa_depth": -1}, {"qaoa_budget": 0}, {"qaoa_starts": 2.0}, {"qaoa_cap": None},
-        {"graph_k": 3.0},
     ):
         with pytest.raises(ParameterError):
             PipelineConfig(**bad)
-    cfg = PipelineConfig(seed=np.int64(4), brute_cap=np.uint8(20), graph_k=np.int32(3))
-    assert (cfg.seed, cfg.brute_cap, cfg.graph_k) == (4, 20, 3)
-    assert all(type(v) is int for v in (cfg.seed, cfg.brute_cap, cfg.graph_k))
+    cfg = PipelineConfig(seed=np.int64(4), brute_cap=np.uint8(20))
+    assert (cfg.seed, cfg.brute_cap) == (4, 20)
+    assert all(type(v) is int for v in (cfg.seed, cfg.brute_cap))
 
 
 def test_pipeline_exact_matches_brute_force():
@@ -492,7 +491,9 @@ def detect_and_refine_membership(g, seed):
 
 def test_pipeline_csv_row_matches_header():
     g = random_regular(12, 3, seed=1)
-    report = classical_pipeline(g, PipelineConfig(seed=1, graph_kind="regular", graph_k=3))
+    report = classical_pipeline(g, PipelineConfig(seed=1))
+    assert (report.graph_kind, report.graph_k) == ("", None)  # labels are the caller's
+    report.graph_kind, report.graph_k = "regular", 3
     header_fields = CSV_HEADER.split(",")
     row_fields = report.to_csv_row().split(",")
     assert len(row_fields) == len(header_fields)
