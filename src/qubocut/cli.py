@@ -312,9 +312,12 @@ def cmd_pipeline(args) -> int:
 def cmd_bench(args) -> int:
     _index(args.jobs, "--jobs", 1)
     _index(args.count, "--count", 1)
+    sizes = [int(tok) for tok in args.n_list.split(",") if tok]
+    if not sizes:
+        raise ParameterError("--n-list names no size")
     runs = [
         (n, mode, args.seed + i)
-        for n in (int(tok) for tok in args.n_list.split(",") if tok)
+        for n in sizes
         for mode in args.modes.split(",")
         for i in range(args.count)
     ]

@@ -51,10 +51,15 @@ class CommunityAssignment:
 
     @classmethod
     def from_membership(cls, g: Graph, membership) -> "CommunityAssignment":
+        return cls._from_adjacency(g.adjacency(), membership)
+
+    @classmethod
+    def _from_adjacency(cls, adj, membership) -> "CommunityAssignment":
+        """:meth:`from_membership` on the graph whose adjacency is ``adj``."""
         member = np.asarray(membership)
-        if member.shape != (g.num_vertices,):
+        if member.shape != (len(adj),):
             raise ParameterError(
-                f"membership length {member.size} != {g.num_vertices} vertices"
+                f"membership length {member.size} != {len(adj)} vertices"
             )
         if member.size and member.dtype.kind not in "iu":
             raise ParameterError(f"community ids must be integers, got dtype {member.dtype}")
@@ -62,7 +67,7 @@ class CommunityAssignment:
         if member.size and member.min() < 0:
             raise ParameterError("community ids must be nonnegative")
         k = _relabel_by_first_appearance(member)
-        return cls(member, k, np.array(_external_degree(g.adjacency(), member.tolist())) > 0)
+        return cls(member, k, np.array(_external_degree(adj, member.tolist())) > 0)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.membership, minlength=self.num_communities)
@@ -172,7 +177,7 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
         return CommunityAssignment.from_membership(g, np.arange(n))
     rng = np.random.default_rng(seed)
 
-    adj = g.adjacency()
+    adj = graph_adj = g.adjacency()
     self_loop = [0.0] * n
     strength = [sum(w for _, w in nbrs) for nbrs in adj]
     global_member = np.arange(n, dtype=np.int64)
@@ -209,7 +214,7 @@ def detect_multilevel(g: Graph, seed: int = 0) -> CommunityAssignment:
         self_loop = new_self
         level_n = k
 
-    return CommunityAssignment.from_membership(g, global_member)
+    return CommunityAssignment._from_adjacency(graph_adj, global_member)
 
 
 def refine_boundary(
@@ -281,7 +286,7 @@ def refine_boundary(
             boundary_total, score = boundary, new_score
             accepted = True
 
-    return CommunityAssignment.from_membership(g, membership)
+    return CommunityAssignment._from_adjacency(adj, membership)
 
 
 def write_membership(assignment: CommunityAssignment, path) -> None:

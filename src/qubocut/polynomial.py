@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitops import as_spins, index_to_spins, term_to_index
 from .errors import ParameterError, ResourceLimitError
-from .wht import _BLOCK, _fwht_rows
+from .wht import _PRODUCT_CAP, _fwht_rows
 
 __all__ = ["PuboPolynomial", "energy_table", "brute_force_min", "DEFAULT_BRUTE_CAP"]
 
@@ -58,7 +58,6 @@ _ELIMINATION_MIN_VARS = 20
 # of the final table.  Fixed here, so a test that lowers _FULL_TABLE_LIMIT
 # does not narrow it.
 _BUCKET_LIMIT = _FULL_TABLE_LIMIT + 1
-_PRODUCT_CAP = _BLOCK**3  # products stay on one BLAS thread up to this size; see wht
 
 
 def _index(value, what: str, least: int | None = None) -> int:

@@ -42,10 +42,10 @@ initial simplex +5% on each nonzero coordinate and 0.00025 on a zero one,
 ``xatol = 1e-4``, ``fatol = 1e-8``, the same sorts), so every start visits
 the points scipy's ``minimize`` would, and the trace is the per-start traces
 joined in start order.  A batch stores at most ``2**13`` amplitudes.  On
-a 2-core x86-64 VM at p = 4, four rows of ``2**11`` stored amplitudes (an
-n = 12 original) took 0.67-0.78 of the time of four one-row passes, and
-four rows of ``2**13`` (an n = 14 original) took 1.04-1.07 of it, so rows
-that large run one at a time.
+a 2-core x86-64 VM at p = 4 (3-regular originals, seeds 1-3, median of
+seven timings each), four rows of ``2**11`` stored amplitudes (n = 12) took
+0.60-0.78 of the time of four one-row passes, and four rows of ``2**13``
+(n = 14) took 1.20-1.24 of it, so rows that large run one at a time.
 """
 
 from __future__ import annotations

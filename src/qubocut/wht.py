@@ -8,17 +8,23 @@ so applying it twice multiplies by ``2**M``.  Tables of spin-polynomial
 energies and their coefficient vectors are each other's transforms up to
 that factor.
 
-The transform factors over index bits, so it runs in passes of up to six
-bits, each a product with the ``64 x 64`` Sylvester Hadamard matrix
-``(-1)**popcount(i & j)`` (a smaller one when fewer bits remain).  Every
-product is capped at ``64 x 64`` by ``64 x 64``: OpenBLAS runs a product on
-one thread only while ``m * n * k <= 64**3``, and the threaded larger
-products measured slower than capped ones on a 2-core machine, idle or busy.
-Passes alternate between the input copy and one scratch buffer; the
-private ``_fwht_rows`` skips the copy and transforms the rows of a buffer
-the caller owns.  Complex input is transformed as interleaved float64 with
-the real/imaginary bit left untransformed, so both dtypes share one real
-path.
+The transform factors over index bits (Fino and Algazi, 1976), so it runs
+in passes, each a product with a Sylvester Hadamard matrix
+``(-1)**popcount(i & j)`` over a few bits.  A pass of ``w`` bits costs
+``2**w`` multiply-adds per entry, so a row of at most six bits takes one
+pass, and a longer one takes ``ceil(bits / 5)`` passes whose widths differ
+by at most one (14 bits as 5 + 5 + 4, 20 as four of 5).  Every product is
+capped at ``_PRODUCT_CAP = 64**3`` multiply-adds: OpenBLAS runs a product
+on one thread only while ``m * n * k <= 64**3``, and the threaded larger
+products measured slower than capped ones on a 2-core machine, idle or
+busy.  So a pass of ``w`` bits takes up to ``64**3 / 4**w`` rows or
+columns per product.  Product shapes follow from the row length alone,
+never from the number of rows, so a row's result does not depend on the
+rows stacked with it.  Passes alternate between the input copy and one
+scratch buffer; the private ``_fwht_rows`` skips the copy and transforms
+the rows of a buffer the caller owns.  Complex input is transformed as
+interleaved float64 with the real/imaginary bit left untransformed, so both
+dtypes share one real path.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from .errors import DimensionError
 
 __all__ = ["fwht"]
 
-_BLOCK_BITS = 6
-_BLOCK = 1 << _BLOCK_BITS
+_PRODUCT_CAP = 64**3  # multiply-adds per product; see the module docstring
+_ONE_PASS_BITS = 6  # the widest transform that runs as a single pass
+_PASS_BITS = 5  # the widest pass of a longer transform
 
 
 @functools.cache
@@ -67,6 +74,30 @@ def _power_of_two_vector(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _passes(bits: int, keep: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The ``(shape, matrix)`` of each pass over rows of ``2**bits`` floats.
+
+    The first pass multiplies rows of the reshaped input by its matrix from
+    the right; each later one multiplies column blocks of the transposed
+    reshape from the left.  The first matrix acts as identity on the low
+    ``keep`` bits.
+    """
+    count = 1 if bits <= _ONE_PASS_BITS else -(-bits // _PASS_BITS)
+    lo, plan = 0, []
+    for i in range(count):
+        w = bits // count + (i < bits % count)
+        per_product = _PRODUCT_CAP >> 2 * w
+        if lo == 0:
+            shape = (-1, min(per_product, 1 << (bits - w)), 1 << w)
+            plan.append((shape, _sylvester(w, keep)))
+        else:
+            columns = min(per_product, 1 << lo)
+            plan.append(((-1, 1 << w, (1 << lo) // columns, columns), _sylvester(w)))
+        lo += w
+    return tuple(plan)
+
+
 def _fwht_rows(a: np.ndarray) -> np.ndarray:
     """Transform each row (last axis) of C-contiguous ``a``, overwriting ``a``.
 
@@ -78,23 +109,15 @@ def _fwht_rows(a: np.ndarray) -> np.ndarray:
         return a
     out = np.empty_like(a)
     src, dst = a.view(np.float64), out.view(np.float64)
-    keep = int(a.dtype.kind == "c")
-    bits = src.shape[-1].bit_length() - 1
-    for lo in range(0, bits, _BLOCK_BITS):
-        hi = min(lo + _BLOCK_BITS, bits)
-        if lo == 0:
-            # Rows of 2**hi entries times the matrix, 64 rows per product.
-            # The real/imaginary bit of complex input stays as it is.
-            shape = (-1, min(_BLOCK, src.shape[-1] >> hi), 1 << hi)
-            np.matmul(src.reshape(shape), _sylvester(hi, keep), out=dst.reshape(shape))
-        else:
-            # The matrix times (2**(hi-lo), 64) column blocks of each slab.
-            shape = (-1, 1 << (hi - lo), 1 << (lo - _BLOCK_BITS), _BLOCK)
-            np.matmul(
-                _sylvester(hi - lo),
-                src.reshape(shape).transpose(0, 2, 1, 3),
-                out=dst.reshape(shape).transpose(0, 2, 1, 3),
-            )
+    (shape, matrix), *later = _passes(src.shape[-1].bit_length() - 1, int(a.dtype.kind == "c"))
+    # The real/imaginary bit of complex input stays as it is.
+    np.matmul(src.reshape(shape), matrix, out=dst.reshape(shape))
+    for shape, matrix in later:
         src, dst = dst, src
         a, out = out, a
-    return a
+        np.matmul(
+            matrix,
+            src.reshape(shape).transpose(0, 2, 1, 3),
+            out=dst.reshape(shape).transpose(0, 2, 1, 3),
+        )
+    return out

@@ -561,6 +561,17 @@ def test_count_below_one_is_an_error(command, count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", ["", ","])
+def test_bench_empty_size_list_is_an_error(sizes, tmp_path, capsys):
+    # it used to draw no graph, print the CSV header alone and exit 0
+    out = tmp_path / "out"
+    rc, stdout, stderr = run_cli(
+        capsys, "bench", "--kind", "regular", "--k", "3", "--n-list", sizes, "--out", str(out),
+    )
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert stderr.startswith("error:") and "--n-list" in stderr
+
+
 def test_bench_missing_degree_is_an_error(capsys):
     rc, _, stderr = run_cli(capsys, "bench", "--kind", "regular", "--n-list", "8")
     assert rc == 2

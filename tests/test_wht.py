@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qubocut import fwht
+from qubocut import fwht, wht
 from qubocut.errors import DimensionError
 
 from oracles import fwht_radix2, naive_wht, sign_matrix
@@ -69,9 +69,10 @@ def test_input_not_mutated():
             np.testing.assert_array_equal(v, copy)
 
 
-@pytest.mark.parametrize("n", range(17))
+@pytest.mark.parametrize("n", [*range(17), 17, 20])
 def test_matches_radix2_loop(n):
-    # 2^0..2^16 takes zero to three passes, full and partial, real and complex.
+    # Real and complex, 2^0..2^16 takes zero to four passes of every width
+    # from 1 to 6 bits; real 2^17 and 2^20 take four passes of 5 and 4 bits.
     rng = np.random.default_rng(100 + n)
     d = 1 << n
     real = rng.integers(-64, 65, d) / 8.0
@@ -83,6 +84,38 @@ def test_matches_radix2_loop(n):
     for v in (rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
         ref = fwht_radix2(v)
         assert np.abs(fwht(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 36])
+def test_stacked_rows_match_one_row_calls(rows):
+    # Product shapes follow from the row length alone, so a row gets the same
+    # bits whatever is stacked with it; the batched QAOA passes rely on this.
+    rng = np.random.default_rng(200 + rows)
+    for n in range(17):
+        real = rng.standard_normal((rows, 1 << n))
+        for stack in (real, real + 1j * rng.standard_normal((rows, 1 << n))):
+            got = wht._fwht_rows(stack.copy())
+            for row, expected in zip(stack, got):
+                assert np.array_equal(wht._fwht_rows(row.copy()), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_products_stay_within_one_thread_cap(n, monkeypatch):
+    # n counts float64 entries per row; complex rows hold half as many values.
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for row in (np.ones(1 << n), np.ones(1 << (n - 1), dtype=np.complex128)):
+        products.clear()
+        wht._fwht_rows(row)
+        assert max(products, default=0) <= 64**3
+        if n <= 6:
+            assert len(products) == (row.size > 1)
 
 
 def test_rejects_bad_lengths():
